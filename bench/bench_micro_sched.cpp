@@ -34,13 +34,19 @@ sim::SchedulerContext make_batch(std::size_t n_jobs, std::size_t n_sites,
   return context;
 }
 
+/// Args: {batch jobs, sites}. Times the engine's steady-state entry point,
+/// schedule_into a reused buffer.
 void heuristic_latency(benchmark::State& state, const std::string& name) {
   const auto context =
-      make_batch(static_cast<std::size_t>(state.range(0)), 12, 42);
+      make_batch(static_cast<std::size_t>(state.range(0)),
+                 static_cast<std::size_t>(state.range(1)), 42);
   auto scheduler = sched::make_heuristic(name,
                                          security::RiskPolicy::f_risky(0.5));
+  std::vector<sim::Assignment> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler->schedule(context));
+    scheduler->schedule_into(context, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -131,9 +137,13 @@ void BM_FitnessDecodeScratch(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_MinMin)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK(BM_Sufferage)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-BENCHMARK(BM_Mct)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_MinMin)->ArgsProduct({{8, 16, 32, 64}, {12}});
+BENCHMARK(BM_Sufferage)->ArgsProduct({{8, 16, 32, 64}, {12}});
+BENCHMARK(BM_Mct)->ArgsProduct({{8, 16, 32, 64}, {12}});
+// A synth-stream-hi-like cycle: 1000 sites and a large batch (Min-Min's
+// batch is smaller — it rescans every remaining job per commit).
+BENCHMARK(BM_Mct)->Unit(benchmark::kMillisecond)->Args({4096, 1000});
+BENCHMARK(BM_MinMin)->Unit(benchmark::kMillisecond)->Args({256, 1000});
 BENCHMARK(BM_StgaWarm100)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);
 BENCHMARK(BM_StgaWarm50)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);
 BENCHMARK(BM_ColdGa100)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);

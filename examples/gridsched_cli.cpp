@@ -4,7 +4,8 @@
 //   scenarios
 //             List every registered scenario with its description.
 //   generate  --scenario=NAME [--jobs=N] --seed=S --out-jobs=F --out-sites=F
-//             Generate a workload and write it as trace files.
+//             Generate a workload and write it as trace files. Scenarios
+//             with site churn are refused (exit 1): traces carry no churn.
 //   describe  --trace=F
 //             Print summary statistics of a job trace.
 //   run       [--trace=F --sites=F | --scenario=NAME [--jobs=N]] --algo=NAME
@@ -140,9 +141,9 @@ int cmd_generate(const util::Cli& cli) {
   const std::string out_sites =
       cli.get_or("out-sites", workload.name + "_sites.trace");
   // Raw-ETC scenarios serialize their matrix into the jobs trace (the
-  // versioned ";etc" section), so `run --trace` replays them exactly.
-  workload::write_jobs_file(out_jobs, workload.jobs, workload.exec);
-  workload::write_sites_file(out_sites, workload.sites);
+  // versioned ";etc" section), so `run --trace` replays them exactly;
+  // churning scenarios are refused (the format cannot carry churn).
+  workload::write_workload_files(workload, out_jobs, out_sites);
   std::printf("wrote %zu jobs to %s (%s) and %zu sites to %s\n",
               workload.jobs.size(), out_jobs.c_str(),
               workload.exec.has_matrix() ? "with raw ETC"

@@ -1,9 +1,11 @@
 // Expected-Time-to-Compute matrix (Braun et al. terminology): exec(j, s) is
 // the execution time of batch job j on site s, infinity when the job does
-// not fit. Completion times (exec + queueing) are computed against
-// NodeAvailability profiles by the individual heuristics.
+// not fit. The GA materialises one per batch (core::build_problem); the
+// list heuristics read each exec time once and resolve it on the fly
+// through SchedulerContext::exec_time instead.
 #pragma once
 
+#include <cassert>
 #include <limits>
 #include <vector>
 
@@ -17,8 +19,9 @@ class EtcMatrix {
 
   /// Batch view of the context's execution model: the raw per-(job, site)
   /// ETC when the workload carries one, the rank-1 work/speed law
-  /// otherwise. This is the constructor schedulers use — building from
-  /// (jobs, sites) alone would silently re-project raw-ETC scenarios.
+  /// otherwise. This is the constructor context-holding callers use —
+  /// building from (jobs, sites) alone would silently re-project raw-ETC
+  /// scenarios.
   explicit EtcMatrix(const sim::SchedulerContext& context);
 
   /// Rank-1 work/speed matrix, for callers without a context (tests,
@@ -30,8 +33,9 @@ class EtcMatrix {
   [[nodiscard]] std::size_t sites() const noexcept { return n_sites_; }
 
   /// Execution time of job j on site s (kInfeasible if it does not fit).
-  [[nodiscard]] double exec(std::size_t j, std::size_t s) const {
-    return cells_.at(j * n_sites_ + s);
+  [[nodiscard]] double exec(std::size_t j, std::size_t s) const noexcept {
+    assert(j < n_jobs_ && s < n_sites_);
+    return cells_[j * n_sites_ + s];
   }
 
   [[nodiscard]] const std::vector<double>& flattened() const noexcept {

@@ -10,15 +10,19 @@
 #include <string>
 #include <vector>
 
+#include "sched/risk_filter.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
 
 namespace gridsched::sched {
 
-/// Common state for the iterative list heuristics.
+/// Common state for the iterative list heuristics. Each heuristic writes
+/// through schedule_into and resolves exec times with context.exec_time as
+/// it scans, so a warm scheduler runs a cycle without heap allocations.
 class HeuristicScheduler : public sim::BatchScheduler {
  public:
-  explicit HeuristicScheduler(security::RiskPolicy policy) : policy_(policy) {}
+  explicit HeuristicScheduler(security::RiskPolicy policy)
+      : policy_(policy), filter_(policy) {}
 
   [[nodiscard]] const security::RiskPolicy& policy() const noexcept {
     return policy_;
@@ -28,10 +32,24 @@ class HeuristicScheduler : public sim::BatchScheduler {
     return base_name() + " " + security::to_string(policy_.mode());
   }
 
+  std::vector<sim::Assignment> schedule(
+      const sim::SchedulerContext& context) final {
+    std::vector<sim::Assignment> out;
+    out.reserve(context.jobs.size());
+    schedule_into(context, out);
+    return out;
+  }
+
  protected:
   [[nodiscard]] virtual std::string base_name() const = 0;
 
   security::RiskPolicy policy_;
+  RiskFilter filter_;
+  /// Per-cycle working state, kept across cycles for its capacity: the
+  /// availability profiles reservations are previewed against, and the
+  /// batch positions the iterative heuristics have yet to commit.
+  std::vector<sim::NodeAvailability> avail_;
+  std::vector<std::size_t> unassigned_;
 };
 
 /// Min-Min: repeatedly pick the (job, site) pair with the globally minimum
@@ -39,8 +57,8 @@ class HeuristicScheduler : public sim::BatchScheduler {
 class MinMinScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "Min-Min"; }
@@ -51,8 +69,8 @@ class MinMinScheduler final : public HeuristicScheduler {
 class MaxMinScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "Max-Min"; }
@@ -64,8 +82,8 @@ class MaxMinScheduler final : public HeuristicScheduler {
 class SufferageScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "Sufferage"; }
@@ -76,8 +94,8 @@ class SufferageScheduler final : public HeuristicScheduler {
 class MctScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "MCT"; }
@@ -88,8 +106,8 @@ class MctScheduler final : public HeuristicScheduler {
 class MetScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "MET"; }
@@ -100,11 +118,21 @@ class MetScheduler final : public HeuristicScheduler {
 class OlbScheduler final : public HeuristicScheduler {
  public:
   using HeuristicScheduler::HeuristicScheduler;
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
  protected:
   [[nodiscard]] std::string base_name() const override { return "OLB"; }
 };
+
+/// The heuristic bodies as they stood before exec times were resolved on
+/// the fly: a per-cycle sched::EtcMatrix, a fresh availability copy, and
+/// the per-pair admissible() test. `heuristic` is a registry name
+/// (heuristic_names()). Golden references the schedulers above must match
+/// assignment for assignment; not used on any hot path. Throws
+/// std::invalid_argument for an unknown name.
+std::vector<sim::Assignment> reference_schedule(
+    const std::string& heuristic, const sim::SchedulerContext& context,
+    const security::RiskPolicy& policy);
 
 }  // namespace gridsched::sched

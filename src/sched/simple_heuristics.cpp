@@ -1,5 +1,6 @@
 // MCT, MET and OLB: single-pass heuristics that place jobs in batch order.
-#include "sched/etc_matrix.hpp"
+#include <limits>
+
 #include "sched/heuristics.hpp"
 #include "sched/risk_filter.hpp"
 
@@ -10,62 +11,62 @@ namespace {
 /// Shared single-pass skeleton: `score` returns the value to minimise for
 /// an admissible (job, site) pair given the current availability.
 template <typename ScoreFn>
-std::vector<sim::Assignment> single_pass(const sim::SchedulerContext& context,
-                                         const security::RiskPolicy& policy,
-                                         ScoreFn&& score) {
-  const EtcMatrix etc(context);
-  std::vector<sim::NodeAvailability> avail = context.avail;
-  std::vector<sim::Assignment> result;
-  result.reserve(context.jobs.size());
+void single_pass(const sim::SchedulerContext& context,
+                 const RiskFilter& filter,
+                 std::vector<sim::NodeAvailability>& avail,
+                 std::vector<sim::Assignment>& out, ScoreFn&& score) {
+  avail = context.avail;
+  out.clear();
 
   for (std::size_t j = 0; j < context.jobs.size(); ++j) {
     const sim::BatchJob& job = context.jobs[j];
+    const RiskFilter::JobFilter admission = filter.job(job);
     sim::SiteId best_site = sim::kInvalidSite;
-    double best_score = EtcMatrix::kInfeasible;
+    double best_score = std::numeric_limits<double>::infinity();
     for (std::size_t s = 0; s < context.sites.size(); ++s) {
-      if (!admissible(context, job, s, policy)) continue;
-      const double value = score(j, s, job, avail[s], etc);
+      if (!admission.admits(context, s)) continue;
+      const double value = score(job, s, avail[s]);
       if (value < best_score) {
         best_score = value;
         best_site = static_cast<sim::SiteId>(s);
       }
     }
     if (best_site == sim::kInvalidSite) continue;  // stays pending
-    avail[best_site].reserve(job.nodes, etc.exec(j, best_site), context.now);
-    result.push_back({j, best_site});
+    avail[best_site].reserve(job.nodes, context.exec_time(job, best_site),
+                             context.now);
+    out.push_back({j, best_site});
   }
-  return result;
 }
 
 }  // namespace
 
-std::vector<sim::Assignment> MctScheduler::schedule(
-    const sim::SchedulerContext& context) {
-  return single_pass(context, policy_,
-                     [&](std::size_t j, std::size_t s, const sim::BatchJob& job,
-                         const sim::NodeAvailability& avail,
-                         const EtcMatrix& etc) {
-                       return avail.preview(job.nodes, etc.exec(j, s),
-                                            context.now).end;
-                     });
+void MctScheduler::schedule_into(const sim::SchedulerContext& context,
+                                 std::vector<sim::Assignment>& out) {
+  single_pass(context, filter_, avail_, out,
+              [&](const sim::BatchJob& job, std::size_t s,
+                  const sim::NodeAvailability& avail) {
+                return avail
+                    .preview(job.nodes, context.exec_time(job, s), context.now)
+                    .end;
+              });
 }
 
-std::vector<sim::Assignment> MetScheduler::schedule(
-    const sim::SchedulerContext& context) {
-  return single_pass(context, policy_,
-                     [&](std::size_t j, std::size_t s, const sim::BatchJob&,
-                         const sim::NodeAvailability&, const EtcMatrix& etc) {
-                       return etc.exec(j, s);
-                     });
+void MetScheduler::schedule_into(const sim::SchedulerContext& context,
+                                 std::vector<sim::Assignment>& out) {
+  single_pass(context, filter_, avail_, out,
+              [&](const sim::BatchJob& job, std::size_t s,
+                  const sim::NodeAvailability&) {
+                return context.exec_time(job, s);
+              });
 }
 
-std::vector<sim::Assignment> OlbScheduler::schedule(
-    const sim::SchedulerContext& context) {
-  return single_pass(context, policy_,
-                     [&](std::size_t, std::size_t, const sim::BatchJob& job,
-                         const sim::NodeAvailability& avail, const EtcMatrix&) {
-                       return avail.earliest_start(job.nodes, context.now);
-                     });
+void OlbScheduler::schedule_into(const sim::SchedulerContext& context,
+                                 std::vector<sim::Assignment>& out) {
+  single_pass(context, filter_, avail_, out,
+              [&](const sim::BatchJob& job, std::size_t,
+                  const sim::NodeAvailability& avail) {
+                return avail.earliest_start(job.nodes, context.now);
+              });
 }
 
 }  // namespace gridsched::sched

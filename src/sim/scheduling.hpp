@@ -37,8 +37,9 @@ struct SchedulerContext {
   /// masked out by the churn process (currently down) must never receive
   /// an assignment — the kernel rejects it as a protocol violation. Empty
   /// means every site is usable (hand-assembled contexts). Schedulers go
-  /// through sched::admissible(context, ...) rather than reading this
-  /// directly, so the mask and the risk filter can never disagree.
+  /// through sched::admissible(context, ...) or sched::RiskFilter rather
+  /// than reading this directly, so the mask and the risk filter can never
+  /// disagree.
   std::vector<std::uint8_t> site_up;
   /// The engine's execution model. Raw ETC when the workload carries one
   /// (authoritative — schedulers must resolve exec times through it, never

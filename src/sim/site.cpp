@@ -10,20 +10,9 @@ NodeAvailability::NodeAvailability(unsigned nodes, Time t0) : free_(nodes, t0) {
     throw std::invalid_argument("NodeAvailability: nodes must be > 0");
 }
 
-Time NodeAvailability::earliest_start(unsigned k, Time now) const {
-  if (k == 0 || k > free_.size()) {
-    throw std::invalid_argument(
-        "NodeAvailability::earliest_start: bad node count");
-  }
-  // free_ is sorted ascending: k nodes are simultaneously free once the
-  // k-th earliest becomes free.
-  return std::max(now, free_[k - 1]);
-}
-
-NodeAvailability::Window NodeAvailability::preview(unsigned k, double exec,
-                                                   Time now) const {
-  const Time start = earliest_start(k, now);
-  return {start, start + exec};
+void NodeAvailability::throw_bad_node_count() {
+  throw std::invalid_argument(
+      "NodeAvailability::earliest_start: bad node count");
 }
 
 NodeAvailability::Window NodeAvailability::reserve(unsigned k, double exec,

@@ -7,6 +7,7 @@
 // the ones the simulator realises (DESIGN.md §5.2/S10).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -53,11 +54,20 @@ class NodeAvailability {
   }
 
   /// Earliest time k nodes are simultaneously free, not before `now`.
-  /// Requires 1 <= k <= nodes().
-  [[nodiscard]] Time earliest_start(unsigned k, Time now) const;
+  /// Requires 1 <= k <= nodes(); throws std::invalid_argument otherwise.
+  /// Inline: the list heuristics call it once per scanned (job, site).
+  [[nodiscard]] Time earliest_start(unsigned k, Time now) const {
+    if (k == 0 || k > free_.size()) throw_bad_node_count();
+    // free_ is sorted ascending: k nodes are simultaneously free once the
+    // k-th earliest becomes free.
+    return std::max(now, free_[k - 1]);
+  }
 
   /// Completion window if k nodes were reserved for `exec` seconds; const.
-  [[nodiscard]] Window preview(unsigned k, double exec, Time now) const;
+  [[nodiscard]] Window preview(unsigned k, double exec, Time now) const {
+    const Time start = earliest_start(k, now);
+    return {start, start + exec};
+  }
 
   /// Commit a reservation: the k earliest-free nodes are busy during the
   /// returned window. Keeps the profile sorted.
@@ -75,6 +85,8 @@ class NodeAvailability {
   }
 
  private:
+  [[noreturn]] static void throw_bad_node_count();
+
   std::vector<Time> free_;
 };
 

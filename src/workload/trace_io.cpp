@@ -1,5 +1,6 @@
 #include "workload/trace_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -195,6 +196,20 @@ std::vector<sim::SiteConfig> read_sites(std::istream& in) {
 std::vector<sim::SiteConfig> read_sites_file(const std::string& path) {
   auto in = open_input(path);
   return read_sites(in);
+}
+
+void write_workload_files(const Workload& workload,
+                          const std::string& jobs_path,
+                          const std::string& sites_path) {
+  if (std::any_of(workload.churn.begin(), workload.churn.end(),
+                  [](const sim::SiteChurnParams& p) { return p.churns(); })) {
+    throw std::invalid_argument(
+        "workload '" + workload.name +
+        "' has churning sites, which job/site traces cannot carry; "
+        "refusing to export it (a replay would run churn-free)");
+  }
+  write_jobs_file(jobs_path, workload.jobs, workload.exec);
+  write_sites_file(sites_path, workload.sites);
 }
 
 }  // namespace gridsched::workload

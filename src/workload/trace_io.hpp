@@ -26,6 +26,7 @@
 #include "sim/exec_model.hpp"
 #include "sim/job.hpp"
 #include "sim/site.hpp"
+#include "workload/workload.hpp"
 
 namespace gridsched::workload {
 
@@ -61,5 +62,14 @@ void write_sites_file(const std::string& path,
 
 std::vector<sim::SiteConfig> read_sites(std::istream& in);
 std::vector<sim::SiteConfig> read_sites_file(const std::string& path);
+
+/// Writes `workload` as a job trace (with its ";etc" section when it
+/// carries a raw ETC) plus a site trace. The format has no churn section,
+/// so a workload with churning sites is refused with std::invalid_argument
+/// naming it, before either file is written — a replay of its traces would
+/// silently run churn-free.
+void write_workload_files(const Workload& workload,
+                          const std::string& jobs_path,
+                          const std::string& sites_path);
 
 }  // namespace gridsched::workload

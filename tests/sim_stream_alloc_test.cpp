@@ -2,9 +2,11 @@
 // the event loop has warmed its buffers (slot table, event queue, pending
 // queue, scheduler context), running the hot loop — admissions,
 // dispatches, completions, retirements, slot recycling — must perform
-// ZERO heap allocations. Pinned with the same binary-wide counting
-// allocator the decode fast path uses (decode_harness.hpp; this must stay
-// the only translation unit in this binary including it).
+// ZERO heap allocations — with the real list heuristics (MCT, Min-Min)
+// scheduling too, whose working buffers persist across cycles. Pinned
+// with the same binary-wide counting allocator the decode fast path uses
+// (decode_harness.hpp; this must stay the only translation unit in this
+// binary including it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include "decode_harness.hpp"  // counting allocator (one TU per binary!)
 #include "exp/scenario.hpp"
 #include "metrics/metrics.hpp"
+#include "sched/heuristics.hpp"
 #include "security/security.hpp"
 #include "sim/engine.hpp"
 #include "sim/scheduling.hpp"
@@ -75,7 +78,9 @@ class AllocSampleObserver final : public sim::KernelObserver {
   std::vector<std::uint64_t> samples;
 };
 
-TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
+/// Runs a 6000-job streaming workload under `scheduler` and checks that
+/// the second half of its batch cycles performed no heap allocation.
+void expect_allocation_free_stream(sim::BatchScheduler& scheduler) {
   workload::synth::SynthStreamConfig config;
   config.name = "alloc-probe";
   config.n_jobs = 6000;
@@ -92,7 +97,6 @@ TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
                      std::move(stream.churn));
   AllocSampleObserver probe;
   engine.set_observer(&probe);
-  GreedyIntoScheduler scheduler;
   engine.run(scheduler);
 
   EXPECT_EQ(engine.kernel().retired_jobs(), config.n_jobs);
@@ -107,8 +111,23 @@ TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
   const std::uint64_t at_end = probe.samples.back();
   EXPECT_EQ(at_half, at_end)
       << (at_end - at_half) << " heap allocation(s) in the steady-state "
-      << "event loop between cycle " << half << " and cycle "
-      << (probe.samples.size() - 1);
+      << "event loop under " << scheduler.name() << " between cycle "
+      << half << " and cycle " << (probe.samples.size() - 1);
+}
+
+TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
+  GreedyIntoScheduler scheduler;
+  expect_allocation_free_stream(scheduler);
+}
+
+TEST(StreamKernelAlloc, MctSchedulerSteadyStateIsAllocationFree) {
+  sched::MctScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(scheduler);
+}
+
+TEST(StreamKernelAlloc, MinMinSchedulerSteadyStateIsAllocationFree) {
+  sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(scheduler);
 }
 
 TEST(StreamKernelAlloc, RetainedModeSteadyStateIsAllocationFreeToo) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -460,6 +462,38 @@ TEST(TraceIo, SynthWorkloadEtcRoundTripsThroughFiles) {
   for (std::size_t i = 0; i < original.size(); ++i) {
     ASSERT_EQ(parsed[i], original[i]);
   }
+}
+
+TEST(TraceIo, WorkloadExportRefusesChurnAndWritesNothing) {
+  // Traces carry no churn section: exporting a churn scenario would make
+  // `run --trace` replay it churn-free, so the export is refused.
+  for (const std::string name : {"synth-churn-lo", "synth-churn-hi"}) {
+    const Workload workload =
+        exp::make_workload(exp::make_scenario(name, 40), 3);
+    const std::string jobs_path = testing::TempDir() + name + "_jobs.trace";
+    const std::string sites_path = testing::TempDir() + name + "_sites.trace";
+    std::remove(jobs_path.c_str());
+    std::remove(sites_path.c_str());
+    try {
+      write_workload_files(workload, jobs_path, sites_path);
+      ADD_FAILURE() << name << " exported despite its churning sites";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+          << error.what();
+    }
+    EXPECT_FALSE(std::ifstream(jobs_path).good());
+    EXPECT_FALSE(std::ifstream(sites_path).good());
+  }
+}
+
+TEST(TraceIo, WorkloadExportWritesChurnFreeScenarios) {
+  const Workload workload =
+      exp::make_workload(exp::make_scenario("synth-inconsistent-hihi", 20), 3);
+  const std::string jobs_path = testing::TempDir() + "export_jobs.trace";
+  const std::string sites_path = testing::TempDir() + "export_sites.trace";
+  write_workload_files(workload, jobs_path, sites_path);
+  EXPECT_EQ(read_jobs_trace_file(jobs_path).jobs.size(), workload.jobs.size());
+  EXPECT_EQ(read_sites_file(sites_path).size(), workload.sites.size());
 }
 
 TEST(TraceIo, MissingFileThrows) {

@@ -281,8 +281,8 @@ void rule_r02(const std::vector<LintFile>& files,
 }
 
 /// GS-R03 — schedulers must not recompute work / speed; execution times
-/// resolve via SchedulerContext::exec_time / EtcMatrix(context), which are
-/// raw-ETC-aware (ROADMAP "Execution-model invariant").
+/// resolve via SchedulerContext::exec_time, which is raw-ETC-aware
+/// (ROADMAP "Execution-model invariant").
 void rule_r03(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
   for (const LintFile& f : files) {
@@ -298,7 +298,7 @@ void rule_r03(const std::vector<LintFile>& files,
         if (is_ident(tokens[j], "speed")) {
           diag(out, f, tokens[i].line, "GS-R03",
                "scheduler recomputes work / speed — resolve exec times "
-               "via context.exec_time or sched::EtcMatrix(context)");
+               "via context.exec_time");
           break;
         }
       }
