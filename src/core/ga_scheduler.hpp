@@ -46,8 +46,8 @@ class GaScheduler : public sim::BatchScheduler {
     return config_.use_history ? "STGA" : "GA";
   }
 
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override;
 
   /// Store an externally produced schedule in the history table (training).
   void record_external(const sim::SchedulerContext& context,
@@ -56,7 +56,7 @@ class GaScheduler : public sim::BatchScheduler {
   [[nodiscard]] const HistoryTable& history() const noexcept { return table_; }
   [[nodiscard]] const StgaConfig& config() const noexcept { return config_; }
 
-  /// Collect one GaProfile per schedule() call into `sink` (nullptr
+  /// Collect one GaProfile per schedule_into() call into `sink` (nullptr
   /// disables, the default). The sink must outlive scheduling; profiling
   /// never changes the schedules produced.
   void set_profile_sink(std::vector<GaProfile>* sink) noexcept {
@@ -81,7 +81,7 @@ class GaScheduler : public sim::BatchScheduler {
   std::vector<GaProfile>* profile_sink_ = nullptr;
   const util::CancelToken* cancel_ = nullptr;
   /// Reused across batches for history-match rescoring and the dispatch
-  /// decode order (bound to each batch's problem in schedule()).
+  /// decode order (bound to each batch's problem in schedule_into()).
   DecodeScratch scratch_;
 };
 
@@ -102,11 +102,10 @@ class RecordingScheduler final : public sim::BatchScheduler {
     return inner_.name() + " (recording)";
   }
 
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override {
-    auto assignments = inner_.schedule(context);
-    target_.record_external(context, assignments);
-    return assignments;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override {
+    inner_.schedule_into(context, out);
+    target_.record_external(context, out);
   }
 
  private:

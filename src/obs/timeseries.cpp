@@ -69,10 +69,10 @@ void TimeSeriesProbe::sample_at(const sim::SimKernel& kernel, sim::Time t) {
   // Busy fraction from the attempt table: an active attempt claims its
   // job's nodes on its site once the reservation window has started
   // (reservations are disjoint per node, so the sum never exceeds the
-  // site's capacity). The attempt and job tables are slot-parallel in
-  // both kernel storage modes, and recycled slots are inactive, so the
-  // slot sweep sees exactly the live attempts. busy_nodes_ is persistent
-  // scratch — sampling allocates nothing once the run's buffers exist.
+  // site's capacity). The attempt and job tables are slot-parallel, and
+  // recycled slots are inactive, so the slot sweep sees exactly the live
+  // attempts. busy_nodes_ is persistent scratch — sampling allocates
+  // nothing once the run's buffers exist.
   busy_nodes_.assign(kernel.sites().size(), 0.0);
   const std::vector<sim::Attempt>& attempts = kernel.attempts();
   for (std::size_t j = 0; j < attempts.size(); ++j) {

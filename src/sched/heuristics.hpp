@@ -32,14 +32,6 @@ class HeuristicScheduler : public sim::BatchScheduler {
     return base_name() + " " + security::to_string(policy_.mode());
   }
 
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) final {
-    std::vector<sim::Assignment> out;
-    out.reserve(context.jobs.size());
-    schedule_into(context, out);
-    return out;
-  }
-
  protected:
   [[nodiscard]] virtual std::string base_name() const = 0;
 

@@ -10,12 +10,6 @@
 
 namespace gridsched::sim {
 
-Engine::Engine(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-               EngineConfig config, ExecModel exec_model,
-               std::vector<SiteChurnParams> churn)
-    : kernel_(std::move(sites), std::move(jobs), config, std::move(exec_model)),
-      churn_(std::move(churn)) {}
-
 Engine::Engine(std::vector<SiteConfig> sites,
                std::unique_ptr<workload::JobStream> stream, EngineConfig config,
                ExecModel exec_model, std::vector<SiteChurnParams> churn)

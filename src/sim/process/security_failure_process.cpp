@@ -110,9 +110,9 @@ void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
     kernel.observe_finish(event.time);
     ++kernel.counters().completed_jobs;
     kernel.notify_job_complete(event.job, attempt.site, event.time);
-    // Fold newly-retirable jobs into the metric accumulator (and, in
-    // streaming mode, recycle their slots) after observers saw the
-    // completion — observers address jobs by id and must see live state.
+    // Fold newly-retirable jobs into the metric accumulator and recycle
+    // their slots after observers saw the completion — observers address
+    // jobs by id and must see live state.
     kernel.retire_completed();
   }
 }

@@ -26,8 +26,8 @@ struct BatchJob {
   bool secure_only = false;
 };
 
-/// Immutable snapshot handed to BatchScheduler::schedule. Site availability
-/// profiles reflect every reservation committed so far.
+/// Immutable snapshot handed to BatchScheduler::schedule_into. Site
+/// availability profiles reflect every reservation committed so far.
 struct SchedulerContext {
   Time now = 0.0;
   std::vector<SiteConfig> sites;
@@ -71,17 +71,18 @@ class BatchScheduler {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Map (a subset of) the batch to sites. Jobs omitted from the result
+  /// Map (a subset of) the batch to sites, writing the assignments into
+  /// `out` (cleared first) so a scheduler can reuse its capacity and keep
+  /// the steady-state event loop heap-free. Jobs omitted from the result
   /// remain pending and reappear in the next cycle's batch.
-  virtual std::vector<Assignment> schedule(const SchedulerContext& context) = 0;
-
-  /// Allocation-aware variant: write the assignments into `out` (cleared
-  /// first), reusing its capacity. The engine's batch cycle calls this so
-  /// a scheduler that overrides it can keep the steady-state event loop
-  /// heap-free; the default simply delegates to schedule().
   virtual void schedule_into(const SchedulerContext& context,
-                             std::vector<Assignment>& out) {
-    out = schedule(context);
+                             std::vector<Assignment>& out) = 0;
+
+  /// schedule_into into a fresh vector.
+  std::vector<Assignment> schedule(const SchedulerContext& context) {
+    std::vector<Assignment> out;
+    schedule_into(context, out);
+    return out;
   }
 };
 

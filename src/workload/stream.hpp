@@ -1,17 +1,16 @@
 // Streaming workload cursor: pull the next job arrival on demand instead
-// of materialising the whole workload up front. SimKernel's stream
-// constructor drives one of these through ArrivalProcess, holding O(active)
+// of materialising the whole workload up front. Every SimKernel admits its
+// jobs through one of these, driven by ArrivalProcess, holding O(active)
 // job state however many jobs the stream will eventually yield; the
-// MaterializedStream adapter wraps every existing generator's job vector so
-// a streamed run of any registry scenario replays the exact same jobs (and
-// therefore the exact same bytes) as a retained run.
+// MaterializedStream adapter wraps a job vector (every generator except
+// the streaming synth family produces one).
 //
 // Contract: next() yields jobs in nondecreasing arrival order (every
 // generator already sorts; the kernel enforces it at admission, because the
 // lazy one-arrival-ahead event push is only order-preserving for sorted
 // streams), and size() is the total count the stream will yield — the
-// kernel pre-reserves that many event sequence numbers so streamed and
-// materialised runs pop events in the identical (time, seq) order.
+// kernel pre-reserves that many event sequence numbers so arrival events
+// pop in the same (time, seq) order as if all were pushed up front.
 #pragma once
 
 #include <cstddef>

@@ -125,7 +125,9 @@ JobsTrace read_jobs_trace(std::istream& in) {
       parse_error(line_no, line);
     }
     job.id = static_cast<sim::JobId>(id);
-    if (job.work <= 0.0 || job.nodes == 0 || job.arrival < 0.0) {
+    // The kernel admits jobs in arrival order, so a trace must be sorted.
+    if (job.work <= 0.0 || job.nodes == 0 || job.arrival < 0.0 ||
+        (!trace.jobs.empty() && job.arrival < trace.jobs.back().arrival)) {
       parse_error(line_no, line);
     }
     trace.jobs.push_back(job);

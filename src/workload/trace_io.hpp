@@ -46,9 +46,9 @@ struct JobsTrace {
 };
 
 /// Parses job records and any ";etc" section; throws std::runtime_error
-/// with a line number on malformed input (including a malformed or
-/// shape-inconsistent ETC section). Other comment ("; ...") and blank
-/// lines are skipped.
+/// with a line number on malformed input (including a job whose arrival
+/// is below the previous job's, and a malformed or shape-inconsistent ETC
+/// section). Other comment ("; ...") and blank lines are skipped.
 JobsTrace read_jobs_trace(std::istream& in);
 JobsTrace read_jobs_trace_file(const std::string& path);
 

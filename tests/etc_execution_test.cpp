@@ -15,6 +15,7 @@
 #include "core/ga_problem.hpp"
 #include "core/ga_scheduler.hpp"
 #include "exp/scenario_registry.hpp"
+#include "job_records.hpp"
 #include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/engine.hpp"
@@ -84,12 +85,14 @@ TEST(EtcExecution, EngineRealisesHandCheckedRawEtc) {
   config.batch_interval = 50.0;
   sim::Engine engine({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs, config, etc);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
+  sim::JobRecords records;
+  engine.set_observer(&records);
   engine.run(scheduler);
 
-  EXPECT_EQ(engine.jobs()[0].final_site, 0u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 80.0);
-  EXPECT_EQ(engine.jobs()[1].final_site, 1u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[1].finish, 90.0);
+  EXPECT_EQ(records.jobs()[0].final_site, 0u);
+  EXPECT_DOUBLE_EQ(records.jobs()[0].finish, 80.0);
+  EXPECT_EQ(records.jobs()[1].final_site, 1u);
+  EXPECT_DOUBLE_EQ(records.jobs()[1].finish, 90.0);
   EXPECT_DOUBLE_EQ(engine.makespan(), 90.0);
 }
 

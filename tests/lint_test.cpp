@@ -198,7 +198,7 @@ TEST(LintR02, StreamingAggregationIsInScope) {
 
 TEST(LintR05, StreamKernelEntropyFires) {
   // The streaming slot table / admission path must draw nothing ambient:
-  // streamed runs replay the retained path's exact draws.
+  // every run admits its jobs through it.
   EXPECT_TRUE(has(lint_one("src/sim/kernel.cpp",
                            "std::random_device rd;\n"),
                   "GS-R05", "src/sim/kernel.cpp", 1));

@@ -55,14 +55,13 @@ sim::EngineConfig quick_config(sim::Time interval = 50.0) {
 class PinScheduler final : public sim::BatchScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "pin"; }
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override {
-    if (!context.site_usable(0)) return {};
-    std::vector<sim::Assignment> out;
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override {
+    out.clear();
+    if (!context.site_usable(0)) return;
     for (std::size_t j = 0; j < context.jobs.size(); ++j) {
       out.push_back({j, 0});
     }
-    return out;
   }
 };
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "exp/scenario_registry.hpp"
+#include "job_records.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/engine.hpp"
 #include "sim/process/arrival_process.hpp"
@@ -47,14 +48,15 @@ class ScriptedScheduler final : public BatchScheduler {
 
   [[nodiscard]] std::string name() const override { return "scripted"; }
 
-  std::vector<Assignment> schedule(const SchedulerContext& context) override {
+  void schedule_into(const SchedulerContext& context,
+                     std::vector<Assignment>& out) override {
     const SiteId site = sequence_[std::min(call_, sequence_.size() - 1)];
     ++call_;
-    if (respect_mask_ && !context.site_usable(site)) return {};
-    std::vector<Assignment> out;
-    for (std::size_t j = 0; j < context.jobs.size(); ++j) out.push_back({j,
-                                                                         site});
-    return out;
+    out.clear();
+    if (respect_mask_ && !context.site_usable(site)) return;
+    for (std::size_t j = 0; j < context.jobs.size(); ++j) {
+      out.push_back({j, site});
+    }
   }
 
  private:
@@ -68,9 +70,10 @@ class MaskProbeScheduler final : public BatchScheduler {
  public:
   explicit MaskProbeScheduler(BatchScheduler& inner) : inner_(inner) {}
   [[nodiscard]] std::string name() const override { return inner_.name(); }
-  std::vector<Assignment> schedule(const SchedulerContext& context) override {
+  void schedule_into(const SchedulerContext& context,
+                     std::vector<Assignment>& out) override {
     masks.push_back(context.site_up);
-    return inner_.schedule(context);
+    inner_.schedule_into(context, out);
   }
   std::vector<std::vector<std::uint8_t>> masks;
 
@@ -79,9 +82,10 @@ class MaskProbeScheduler final : public BatchScheduler {
 };
 
 /// Run a kernel with the standard process set plus a scripted churn
-/// timeline — the composition the Engine facade cannot express.
-void run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
-                      std::vector<SiteOutage> outages) {
+/// timeline — the composition the Engine facade cannot express — and
+/// return every job's final record.
+std::vector<Job> run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
+                                  std::vector<SiteOutage> outages) {
   ArrivalProcess arrival;
   SecurityFailureProcess failure;
   BatchCycleProcess batch(scheduler, failure);
@@ -90,7 +94,11 @@ void run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
   kernel.add_process(batch);
   kernel.add_process(failure);
   kernel.add_process(churn);
+  JobRecords records;
+  kernel.set_observer(&records);
   kernel.run();
+  kernel.set_observer(nullptr);
+  return records.jobs();
 }
 
 TEST(SiteChurn, HandCheckedMidRunRevocation) {
@@ -102,9 +110,8 @@ TEST(SiteChurn, HandCheckedMidRunRevocation) {
   SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
                    quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const Job job = run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}})[0];
 
-  const Job& job = kernel.jobs()[0];
   EXPECT_EQ(job.state, JobState::kCompleted);
   EXPECT_EQ(job.attempts, 2u);
   EXPECT_EQ(job.failures, 0u);
@@ -139,10 +146,11 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
                    {make_job(0.0, 100.0, 1, 0.5), make_job(0.0, 10.0, 1, 0.5)},
                    quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> jobs =
+      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
 
-  const Job& a = kernel.jobs()[0];
-  const Job& b = kernel.jobs()[1];
+  const Job& a = jobs[0];
+  const Job& b = jobs[1];
   EXPECT_EQ(a.interruptions, 1u);
   EXPECT_EQ(b.interruptions, 1u);
   const EngineCounters& counters = kernel.counters();
@@ -191,9 +199,8 @@ TEST(SiteChurn, InterruptedSecureOnlyRetryStaysSecureOnly) {
   SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
                    {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 1, 1});
-  run_with_outages(kernel, scheduler, {{1, 150.0, 160.0}});
+  const Job job = run_with_outages(kernel, scheduler, {{1, 150.0, 160.0}})[0];
 
-  const Job& job = kernel.jobs()[0];
   EXPECT_EQ(job.failures, 1u);
   EXPECT_EQ(job.interruptions, 1u);
   EXPECT_EQ(job.attempts, 3u);
@@ -211,10 +218,10 @@ TEST(SiteChurn, StaleEndEventOfARevokedAttemptIsDropped) {
   SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
                    quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const Job job = run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}})[0];
   EXPECT_EQ(kernel.counters().completed_jobs, 1u);
-  EXPECT_EQ(kernel.jobs()[0].attempts, 2u);
-  EXPECT_DOUBLE_EQ(kernel.jobs()[0].finish, 250.0);
+  EXPECT_EQ(job.attempts, 2u);
+  EXPECT_DOUBLE_EQ(job.finish, 250.0);
 }
 
 TEST(SiteChurn, ScriptedOutageValidation) {
@@ -247,9 +254,11 @@ TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
     Engine engine(workload.sites, workload.jobs, config, workload.exec,
                   workload.churn);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
+    JobRecords records;
+    engine.set_observer(&records);
     engine.run(scheduler);
     std::vector<double> finishes;
-    for (const Job& job : engine.jobs()) finishes.push_back(job.finish);
+    for (const Job& job : records.jobs()) finishes.push_back(job.finish);
     return std::pair(finishes, engine.counters().site_down_events);
   };
   const auto a = run(11);
@@ -266,9 +275,11 @@ TEST(SiteChurn, ChurnFreeWorkloadNeverRegistersTheProcess) {
   Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
                 quick_config(50.0), {}, no_churn);
   ScriptedScheduler scheduler({0});
+  JobRecords records;
+  engine.set_observer(&records);
   engine.run(scheduler);
   EXPECT_EQ(engine.counters().site_down_events, 0u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 60.0);
+  EXPECT_DOUBLE_EQ(records.jobs()[0].finish, 60.0);
 }
 
 TEST(SimKernel, RejectsDoubleRoutingOfAnEventKind) {

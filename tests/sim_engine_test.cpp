@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "job_records.hpp"
 #include "sched/heuristics.hpp"
 
 namespace gridsched::sim {
@@ -29,13 +31,14 @@ class ScriptedScheduler final : public BatchScheduler {
 
   [[nodiscard]] std::string name() const override { return "scripted"; }
 
-  std::vector<Assignment> schedule(const SchedulerContext& context) override {
+  void schedule_into(const SchedulerContext& context,
+                     std::vector<Assignment>& out) override {
     const SiteId site = sequence_[std::min(call_, sequence_.size() - 1)];
     ++call_;
-    std::vector<Assignment> out;
-    for (std::size_t j = 0; j < context.jobs.size(); ++j) out.push_back({j,
-                                                                         site});
-    return out;
+    out.clear();
+    for (std::size_t j = 0; j < context.jobs.size(); ++j) {
+      out.push_back({j, site});
+    }
   }
 
  private:
@@ -47,8 +50,9 @@ class ScriptedScheduler final : public BatchScheduler {
 class RefusingScheduler final : public BatchScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "refuser"; }
-  std::vector<Assignment> schedule(const SchedulerContext&) override { return {
-    };
+  void schedule_into(const SchedulerContext&,
+                     std::vector<Assignment>& out) override {
+    out.clear();
   }
 };
 
@@ -57,13 +61,23 @@ class RawScheduler final : public BatchScheduler {
  public:
   explicit RawScheduler(std::vector<Assignment> out) : out_(std::move(out)) {}
   [[nodiscard]] std::string name() const override { return "raw"; }
-  std::vector<Assignment> schedule(const SchedulerContext&) override {
-    return std::exchange(out_, {});
+  void schedule_into(const SchedulerContext&,
+                     std::vector<Assignment>& out) override {
+    out = std::exchange(out_, {});
   }
 
  private:
   std::vector<Assignment> out_;
 };
+
+/// Run `engine` under `scheduler` and return every job's final record.
+std::vector<Job> run_recorded(Engine& engine, BatchScheduler& scheduler) {
+  JobRecords records;
+  engine.set_observer(&records);
+  engine.run(scheduler);
+  engine.set_observer(nullptr);
+  return records.jobs();
+}
 
 EngineConfig quick_config(Time interval = 50.0) {
   EngineConfig config;
@@ -84,29 +98,44 @@ TEST(Engine, RejectsNonPositiveInterval) {
                std::invalid_argument);
 }
 
+/// The std::invalid_argument message run() raises for `jobs` ("" when it
+/// raises none). Jobs are validated as they are admitted, so construction
+/// must succeed: a throw from the constructor escapes and fails the test.
+std::string admission_error(std::vector<SiteConfig> sites,
+                            std::vector<Job> jobs) {
+  Engine engine(std::move(sites), std::move(jobs), quick_config());
+  sched::MctScheduler scheduler(security::RiskPolicy::secure());
+  try {
+    engine.run(scheduler);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
 TEST(Engine, RejectsJobWithoutSafeHome) {
   // Only site has SL 0.7 < demand 0.9: a failure could never be recovered.
-  EXPECT_THROW(Engine({{0, 1, 1.0, 0.7}}, {make_job(0, 10, 1, 0.9)},
-                      quick_config()),
-               std::invalid_argument);
+  EXPECT_EQ(admission_error({{0, 1, 1.0, 0.7}}, {make_job(0, 10, 1, 0.9)}),
+            "Engine: job 0 has no absolutely-safe site; it could starve "
+            "after a failure");
 }
 
 TEST(Engine, RejectsOversizedJob) {
-  EXPECT_THROW(Engine({{0, 2, 1.0, 1.0}}, {make_job(0, 10, 4, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
+  EXPECT_NE(admission_error({{0, 2, 1.0, 1.0}}, {make_job(0, 10, 4, 0.5)})
+                .find("no absolutely-safe site"),
+            std::string::npos);
 }
 
 TEST(Engine, RejectsBadJobFields) {
-  EXPECT_THROW(Engine({{0, 1, 1.0, 1.0}}, {make_job(0, 0.0, 1, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
-  EXPECT_THROW(Engine({{0, 1, 1.0, 1.0}}, {make_job(0, 10, 0, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
-  EXPECT_THROW(Engine({{0, 1, 1.0, 1.0}}, {make_job(-1, 10, 1, 0.5)},
-                      quick_config()),
-               std::invalid_argument);
+  const std::vector<SiteConfig> site = {{0, 1, 1.0, 1.0}};
+  EXPECT_EQ(admission_error(site, {make_job(0, 0.0, 1, 0.5)}),
+            "Engine: job work must be > 0");
+  EXPECT_EQ(admission_error(site, {make_job(0, 10, 0, 0.5)}),
+            "Engine: job nodes must be > 0");
+  // The field checks precede the ordering check: a first arrival of -1 is
+  // negative, not out of order.
+  EXPECT_EQ(admission_error(site, {make_job(-1, 10, 1, 0.5)}),
+            "Engine: negative arrival");
 }
 
 TEST(Engine, SingleJobTimeline) {
@@ -114,9 +143,9 @@ TEST(Engine, SingleJobTimeline) {
   Engine engine({{0, 1, 1.0, 1.0}}, {make_job(10.0, 100.0, 1, 0.8)},
                 quick_config(50.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
+  const std::vector<Job> jobs = run_recorded(engine, scheduler);
 
-  const Job& job = engine.jobs()[0];
+  const Job& job = jobs[0];
   EXPECT_EQ(job.state, JobState::kCompleted);
   EXPECT_DOUBLE_EQ(job.first_start, 50.0);
   EXPECT_DOUBLE_EQ(job.finish, 150.0);
@@ -134,11 +163,11 @@ TEST(Engine, JobsAccumulateIntoOneBatch) {
                 {make_job(10.0, 20.0, 1, 0.7), make_job(60.0, 30.0, 1, 0.7)},
                 quick_config(100.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
+  const std::vector<Job> jobs = run_recorded(engine, scheduler);
 
   EXPECT_EQ(engine.counters().batch_invocations, 1u);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 120.0);
-  EXPECT_DOUBLE_EQ(engine.jobs()[1].finish, 150.0);
+  EXPECT_DOUBLE_EQ(jobs[0].finish, 120.0);
+  EXPECT_DOUBLE_EQ(jobs[1].finish, 150.0);
 }
 
 TEST(Engine, MultiNodeJobsShareSite) {
@@ -148,12 +177,12 @@ TEST(Engine, MultiNodeJobsShareSite) {
                  make_job(0.0, 10.0, 1, 0.7)},
                 quick_config(50.0));
   ScriptedScheduler scheduler({0});
-  engine.run(scheduler);
+  const std::vector<Job> jobs = run_recorded(engine, scheduler);
   // Dispatch order = batch order: J0 holds both nodes 50..90; J1 90..100;
   // J2 90..100 on the other node.
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 90.0);
-  EXPECT_DOUBLE_EQ(engine.jobs()[1].finish, 100.0);
-  EXPECT_DOUBLE_EQ(engine.jobs()[2].finish, 100.0);
+  EXPECT_DOUBLE_EQ(jobs[0].finish, 90.0);
+  EXPECT_DOUBLE_EQ(jobs[1].finish, 100.0);
+  EXPECT_DOUBLE_EQ(jobs[2].finish, 100.0);
   EXPECT_DOUBLE_EQ(engine.makespan(), 100.0);
 }
 
@@ -161,8 +190,8 @@ TEST(Engine, SpeedScalesExecution) {
   Engine engine({{0, 1, 4.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.7)},
                 quick_config(10.0));
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  EXPECT_DOUBLE_EQ(engine.jobs()[0].finish, 35.0);  // 10 + 100/4
+  EXPECT_DOUBLE_EQ(run_recorded(engine, scheduler)[0].finish,
+                   35.0);  // 10 + 100/4
 }
 
 TEST(Engine, CertainFailureIsRescheduledToSafeSite) {
@@ -172,9 +201,9 @@ TEST(Engine, CertainFailureIsRescheduledToSafeSite) {
   Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
                 {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 1});
-  engine.run(scheduler);
+  const std::vector<Job> jobs = run_recorded(engine, scheduler);
 
-  const Job& job = engine.jobs()[0];
+  const Job& job = jobs[0];
   EXPECT_EQ(job.failures, 1u);
   EXPECT_EQ(job.attempts, 2u);
   EXPECT_TRUE(job.took_risk);
@@ -209,8 +238,8 @@ TEST(Engine, UniformDetectionFailsBeforePlannedEnd) {
   Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
                 {make_job(0.0, 100.0, 1, 0.9)}, config);
   ScriptedScheduler scheduler({0, 1});
-  engine.run(scheduler);
-  const Job& job = engine.jobs()[0];
+  const std::vector<Job> jobs = run_recorded(engine, scheduler);
+  const Job& job = jobs[0];
   EXPECT_EQ(job.failures, 1u);
   // The retry cycle can only fire after the detection instant, which is
   // strictly inside (50, 150]; the retry completes 100 s after it starts.
@@ -227,8 +256,7 @@ TEST(Engine, AtMostOneFailurePerJob) {
   }
   Engine engine({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 0.95}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  engine.run(scheduler);
-  for (const Job& job : engine.jobs()) {
+  for (const Job& job : run_recorded(engine, scheduler)) {
     EXPECT_LE(job.failures, 1u);
     EXPECT_EQ(job.attempts, job.failures + 1);
   }
@@ -239,10 +267,10 @@ TEST(Engine, SecurePolicyNeverRisks) {
   for (int i = 0; i < 20; ++i) jobs.push_back(make_job(i * 3.0, 25.0, 1, 0.8));
   Engine engine({{0, 2, 1.0, 0.5}, {1, 2, 1.0, 0.9}}, jobs, quick_config(30.0));
   sched::MinMinScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
+  const std::vector<Job> recorded = run_recorded(engine, scheduler);
   EXPECT_EQ(engine.counters().risky_attempts, 0u);
   EXPECT_EQ(engine.counters().failure_events, 0u);
-  for (const Job& job : engine.jobs()) {
+  for (const Job& job : recorded) {
     EXPECT_EQ(job.final_site, 1u);  // only the SL=0.9 site is admissible
   }
 }
@@ -303,9 +331,10 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
     Engine engine({{0, 2, 1.0, 0.5}, {1, 2, 2.0, 0.7}, {2, 1, 1.0, 0.95}},
                   jobs, config);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
-    engine.run(scheduler);
     std::vector<double> finishes;
-    for (const Job& job : engine.jobs()) finishes.push_back(job.finish);
+    for (const Job& job : run_recorded(engine, scheduler)) {
+      finishes.push_back(job.finish);
+    }
     return finishes;
   };
   EXPECT_EQ(run(), run());
@@ -345,10 +374,10 @@ TEST(Engine, FailureReleasesReservedCapacity) {
                            make_job(60.0, 10.0, 1, 0.3)};
   Engine engine({{0, 2, 1.0, 0.4}, {1, 2, 1.0, 1.0}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  engine.run(scheduler);
+  const std::vector<Job> recorded = run_recorded(engine, scheduler);
 
-  const Job& a = engine.jobs()[0];
-  const Job& b = engine.jobs()[1];
+  const Job& a = recorded[0];
+  const Job& b = recorded[1];
   EXPECT_EQ(a.failures, 1u);
   EXPECT_EQ(a.final_site, 1u);  // fail-stop retry on the safe site
   EXPECT_DOUBLE_EQ(a.finish, 1100.0);  // retry dispatched at t=100
@@ -376,10 +405,10 @@ TEST(Engine, FailureReleaseCountsTailsAlreadyReReserved) {
                            make_job(60.0, 10.0, 1, 0.3)};
   Engine engine({{0, 1, 1.0, 0.4}, {1, 1, 0.01, 1.0}}, jobs, config);
   sched::MctScheduler scheduler(security::RiskPolicy::risky());
-  engine.run(scheduler);
+  const std::vector<Job> recorded = run_recorded(engine, scheduler);
 
-  const Job& b = engine.jobs()[1];
-  EXPECT_EQ(engine.jobs()[0].failures, 1u);
+  const Job& b = recorded[1];
+  EXPECT_EQ(recorded[0].failures, 1u);
   EXPECT_EQ(b.final_site, 0u);
   EXPECT_DOUBLE_EQ(b.first_start, 150.0);  // stacked behind A's full window
   EXPECT_EQ(engine.counters().released_nodes, 0u);
@@ -394,8 +423,7 @@ TEST(Engine, BatchCycleAtExactMultipleStaysStrictlyAfterNow) {
   EngineConfig config = quick_config(0.2);
   Engine engine({{0, 1, 1.0, 1.0}}, {make_job(1.0, 1.0, 1, 0.5)}, config);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
-  engine.run(scheduler);
-  const Job& job = engine.jobs()[0];
+  const Job job = run_recorded(engine, scheduler)[0];
   EXPECT_GT(job.first_start, 1.0);
   EXPECT_NEAR(job.first_start, 1.2, 1e-9);
 }

@@ -1,4 +1,4 @@
-// Steady-state allocation guard for the streaming kernel (PR 10): once
+// Steady-state allocation guard for the streaming kernel: once
 // the event loop has warmed its buffers (slot table, event queue, pending
 // queue, scheduler context), running the hot loop — admissions,
 // dispatches, completions, retirements, slot recycling — must perform
@@ -34,13 +34,6 @@ using bench::allocation_count;
 class GreedyIntoScheduler final : public sim::BatchScheduler {
  public:
   [[nodiscard]] std::string name() const override { return "greedy-into"; }
-
-  std::vector<sim::Assignment> schedule(
-      const sim::SchedulerContext& context) override {
-    std::vector<sim::Assignment> out;
-    schedule_into(context, out);
-    return out;
-  }
 
   void schedule_into(const sim::SchedulerContext& context,
                      std::vector<sim::Assignment>& out) override {
@@ -130,11 +123,11 @@ TEST(StreamKernelAlloc, MinMinSchedulerSteadyStateIsAllocationFree) {
   expect_allocation_free_stream(scheduler);
 }
 
-TEST(StreamKernelAlloc, RetainedModeSteadyStateIsAllocationFreeToo) {
-  // The same guard for the retained kernel: the refactor shares the hot
-  // loop between modes, so the vector-backed path must stay clean as well.
+TEST(StreamKernelAlloc, JobVectorSteadyStateIsAllocationFreeToo) {
+  // The same guard for a job vector handed to the Engine, which admits it
+  // through a MaterializedStream with the slot table reserved up front.
   workload::synth::SynthStreamConfig config;
-  config.name = "alloc-probe-retained";
+  config.name = "alloc-probe-vector";
   config.n_jobs = 3000;
   config.n_sites = 20;
   config.arrival.rate = 0.2;

@@ -343,6 +343,21 @@ TEST(TraceIo, RejectsMalformedRecords) {
   EXPECT_THROW(read_jobs(zero_nodes), std::runtime_error);
 }
 
+TEST(TraceIo, RejectsArrivalsOutOfOrder) {
+  // Equal arrivals are in order; a drop is rejected at its own line.
+  std::stringstream sorted("0 5.0 1.0 1 0.5\n1 5.0 1.0 1 0.5\n");
+  EXPECT_EQ(read_jobs(sorted).size(), 2u);
+  std::stringstream unsorted(
+      "; header\n0 5.0 1.0 1 0.5\n1 7.0 1.0 1 0.5\n2 6.0 1.0 1 0.5\n");
+  try {
+    (void)read_jobs(unsorted);
+    FAIL() << "unsorted trace was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "trace parse error at line 4: 2 6.0 1.0 1 0.5");
+  }
+}
+
 TEST(TraceIo, RejectsBadSites) {
   std::stringstream zero_speed("0 4 0.0 0.5\n");
   EXPECT_THROW(read_sites(zero_speed), std::runtime_error);

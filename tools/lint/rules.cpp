@@ -242,9 +242,9 @@ void rule_r01(const std::vector<LintFile>& files,
 /// GS-R02 — no wall-clock sources in byte-stable artifact renderers
 /// (campaign sinks, campaign journal, trace writer) or in the streaming
 /// aggregation they read (the retirement accumulator and the job-stream
-/// cursors feed bit-identical metric sums; a clock there would desync
-/// streamed and retained artifacts). Host time may only reach the
-/// --profile sidecar (ROADMAP "Observability invariants").
+/// cursors feed bit-identical metric sums; a clock there would make the
+/// artifacts drift from their golden digests). Host time may only reach
+/// the --profile sidecar (ROADMAP "Observability invariants").
 void rule_r02(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
   for (const LintFile& f : files) {
@@ -366,9 +366,8 @@ void rule_r04(const std::vector<LintFile>& files,
 /// benchgate tool is held to the same bar — a regression gate that
 /// consulted the clock could pass or fail the same artifacts on rerun.
 /// The streaming kernel (slot table, admission path) and the job-stream
-/// cursors sit squarely in scope: lazy admission replays the exact draws
-/// the retained path makes, so any ambient entropy there would break the
-/// streamed-equals-materialised bit-identity contract.
+/// cursors sit squarely in scope: every run admits its jobs through them,
+/// so any ambient entropy there would break the registry golden digests.
 void rule_r05(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
   for (const LintFile& f : files) {
