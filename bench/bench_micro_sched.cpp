@@ -56,6 +56,8 @@ void BM_Sufferage(benchmark::State& state) {
   heuristic_latency(state, "sufferage");
 }
 void BM_Mct(benchmark::State& state) { heuristic_latency(state, "mct"); }
+void BM_Met(benchmark::State& state) { heuristic_latency(state, "met"); }
+void BM_Olb(benchmark::State& state) { heuristic_latency(state, "olb"); }
 
 void ga_latency(benchmark::State& state, bool warm, std::size_t generations,
                 std::size_t n_sites = 12) {
@@ -140,10 +142,14 @@ void BM_FitnessDecodeScratch(benchmark::State& state) {
 BENCHMARK(BM_MinMin)->ArgsProduct({{8, 16, 32, 64}, {12}});
 BENCHMARK(BM_Sufferage)->ArgsProduct({{8, 16, 32, 64}, {12}});
 BENCHMARK(BM_Mct)->ArgsProduct({{8, 16, 32, 64}, {12}});
-// A synth-stream-hi-like cycle: 1000 sites and a large batch (Min-Min's
-// batch is smaller — it rescans every remaining job per commit).
+// A synth-stream-hi-like cycle: 1000 sites and a large batch (the
+// iterative heuristics' batch is smaller — they re-pick every remaining job
+// per commit).
 BENCHMARK(BM_Mct)->Unit(benchmark::kMillisecond)->Args({4096, 1000});
+BENCHMARK(BM_Met)->Unit(benchmark::kMillisecond)->Args({4096, 1000});
+BENCHMARK(BM_Olb)->Unit(benchmark::kMillisecond)->Args({4096, 1000});
 BENCHMARK(BM_MinMin)->Unit(benchmark::kMillisecond)->Args({256, 1000});
+BENCHMARK(BM_Sufferage)->Unit(benchmark::kMillisecond)->Args({256, 1000});
 BENCHMARK(BM_StgaWarm100)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);
 BENCHMARK(BM_StgaWarm50)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);
 BENCHMARK(BM_ColdGa100)->Unit(benchmark::kMillisecond)->Arg(16)->Arg(32);

@@ -11,14 +11,15 @@
 #include <vector>
 
 #include "sched/risk_filter.hpp"
+#include "sched/site_index.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
 
 namespace gridsched::sched {
 
-/// Common state for the iterative list heuristics. Each heuristic writes
-/// through schedule_into and resolves exec times with context.exec_time as
-/// it scans, so a warm scheduler runs a cycle without heap allocations.
+/// Common state for the list heuristics. Each heuristic writes through
+/// schedule_into and makes every per-job pick with one SiteIndex query, so a
+/// warm scheduler runs a cycle without heap allocations.
 class HeuristicScheduler : public sim::BatchScheduler {
  public:
   explicit HeuristicScheduler(security::RiskPolicy policy)
@@ -38,9 +39,10 @@ class HeuristicScheduler : public sim::BatchScheduler {
   security::RiskPolicy policy_;
   RiskFilter filter_;
   /// Per-cycle working state, kept across cycles for its capacity: the
-  /// availability profiles reservations are previewed against, and the
-  /// batch positions the iterative heuristics have yet to commit.
-  std::vector<sim::NodeAvailability> avail_;
+  /// site index reservations are previewed against (rebuilt from each
+  /// context), and the batch positions the iterative heuristics have yet
+  /// to commit.
+  SiteIndex index_;
   std::vector<std::size_t> unassigned_;
 };
 

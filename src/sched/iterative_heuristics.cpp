@@ -1,24 +1,17 @@
 // Min-Min, Max-Min and Sufferage: iterative heuristics that, every round,
-// scan each remaining job's admissible sites and commit one job.
+// query each remaining job's best admissible site and commit one job.
 #include <limits>
 #include <numeric>
 
 #include "sched/heuristics.hpp"
 #include "sched/risk_filter.hpp"
+#include "sched/site_index.hpp"
 
 namespace gridsched::sched {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// One job's scan result: its minimum-completion site, the minimum and the
-/// runner-up completion (kInf when fewer sites are admissible).
-struct JobBest {
-  sim::SiteId site = sim::kInvalidSite;
-  double best = kInf;
-  double second = kInf;
-};
 
 /// How a rule ranks jobs: larger wins, `primary` first, then `secondary`;
 /// a tie keeps the earlier job.
@@ -28,15 +21,15 @@ struct Priority {
 };
 
 /// The shared round loop. `floor` is the priority a job must beat to be
-/// committed at all; `priority` ranks a job's scan result.
+/// committed at all; `priority` ranks a job's pick, which carries the
+/// runner-up completion only when `runner_up` asks for it.
 template <typename PriorityFn>
 void commit_rounds(const sim::SchedulerContext& context,
-                   const RiskFilter& filter,
-                   std::vector<sim::NodeAvailability>& avail,
+                   const RiskFilter& filter, SiteIndex& index,
                    std::vector<std::size_t>& unassigned,
-                   std::vector<sim::Assignment>& out, Priority floor,
-                   PriorityFn&& priority) {
-  avail = context.avail;
+                   std::vector<sim::Assignment>& out, bool runner_up,
+                   Priority floor, PriorityFn&& priority) {
+  index.rebuild(context);
   unassigned.resize(context.jobs.size());
   std::iota(unassigned.begin(), unassigned.end(), std::size_t{0});
   out.clear();
@@ -48,21 +41,10 @@ void commit_rounds(const sim::SchedulerContext& context,
     for (std::size_t pos = 0; pos < unassigned.size(); ++pos) {
       const sim::BatchJob& job = context.jobs[unassigned[pos]];
       const RiskFilter::JobFilter admission = filter.job(job);
-      JobBest scan;
-      for (std::size_t s = 0; s < context.sites.size(); ++s) {
-        if (!admission.admits(context, s)) continue;
-        const double completion =
-            avail[s]
-                .preview(job.nodes, context.exec_time(job, s), context.now)
-                .end;
-        if (completion < scan.best) {
-          scan.second = scan.best;
-          scan.best = completion;
-          scan.site = static_cast<sim::SiteId>(s);
-        } else if (completion < scan.second) {
-          scan.second = completion;
-        }
-      }
+      const SiteIndex::Pick scan =
+          runner_up
+              ? index.best_two(job, admission)
+              : index.best(job, admission, SiteIndex::Score::kCompletion);
       if (scan.site == sim::kInvalidSite) continue;
       const Priority p = priority(scan);
       if (p.primary > pick.primary ||
@@ -76,8 +58,8 @@ void commit_rounds(const sim::SchedulerContext& context,
 
     const std::size_t j = unassigned[pick_pos];
     const sim::BatchJob& job = context.jobs[j];
-    avail[pick_site].reserve(job.nodes, context.exec_time(job, pick_site),
-                             context.now);
+    index.reserve(pick_site, job.nodes, context.exec_time(job, pick_site),
+                  context.now);
     out.push_back({j, pick_site});
     unassigned.erase(unassigned.begin() +
                      static_cast<std::ptrdiff_t>(pick_pos));
@@ -89,8 +71,8 @@ void commit_rounds(const sim::SchedulerContext& context,
 void MinMinScheduler::schedule_into(const sim::SchedulerContext& context,
                                     std::vector<sim::Assignment>& out) {
   // The job whose minimum completion time is globally smallest.
-  commit_rounds(context, filter_, avail_, unassigned_, out, {-kInf, 0.0},
-                [](const JobBest& scan) {
+  commit_rounds(context, filter_, index_, unassigned_, out, false,
+                {-kInf, 0.0}, [](const SiteIndex::Pick& scan) {
                   return Priority{-scan.best, 0.0};
                 });
 }
@@ -98,8 +80,10 @@ void MinMinScheduler::schedule_into(const sim::SchedulerContext& context,
 void MaxMinScheduler::schedule_into(const sim::SchedulerContext& context,
                                     std::vector<sim::Assignment>& out) {
   // The job whose minimum completion time is the *largest*.
-  commit_rounds(context, filter_, avail_, unassigned_, out, {-1.0, 0.0},
-                [](const JobBest& scan) { return Priority{scan.best, 0.0}; });
+  commit_rounds(context, filter_, index_, unassigned_, out, false,
+                {-1.0, 0.0}, [](const SiteIndex::Pick& scan) {
+                  return Priority{scan.best, 0.0};
+                });
 }
 
 void SufferageScheduler::schedule_into(const sim::SchedulerContext& context,
@@ -107,8 +91,8 @@ void SufferageScheduler::schedule_into(const sim::SchedulerContext& context,
   // Sufferage = second-best completion - best completion; a job with a
   // single admissible site suffers infinitely if it is not served. Ties go
   // to the earlier-completing job.
-  commit_rounds(context, filter_, avail_, unassigned_, out, {-1.0, -kInf},
-                [](const JobBest& scan) {
+  commit_rounds(context, filter_, index_, unassigned_, out, true,
+                {-1.0, -kInf}, [](const SiteIndex::Pick& scan) {
                   const double sufferage =
                       scan.second == kInf ? kInf : scan.second - scan.best;
                   return Priority{sufferage, -scan.best};

@@ -67,6 +67,14 @@ class RiskFilter {
       return admissible(*job_, site, *policy_);
     }
 
+    /// True when admits() rejects every site whose level is at most
+    /// `security`: the smallest such deficit is already above the band's
+    /// reject edge (and admit_upto <= reject_above in every band). A NaN
+    /// demand, level or band answers false, so those sites reach admits().
+    [[nodiscard]] bool rejects_up_to(double security) const noexcept {
+      return job_->demand - security > band_.reject_above;
+    }
+
    private:
     friend class RiskFilter;
     struct Band {

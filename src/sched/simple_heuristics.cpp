@@ -1,40 +1,27 @@
 // MCT, MET and OLB: single-pass heuristics that place jobs in batch order.
-#include <limits>
-
 #include "sched/heuristics.hpp"
 #include "sched/risk_filter.hpp"
+#include "sched/site_index.hpp"
 
 namespace gridsched::sched {
 
 namespace {
 
-/// Shared single-pass skeleton: `score` returns the value to minimise for
-/// an admissible (job, site) pair given the current availability.
-template <typename ScoreFn>
+/// Shared single-pass skeleton: each job in batch order goes to the
+/// admissible site minimising `kind`, and the reservation is committed
+/// before the next job's pick.
 void single_pass(const sim::SchedulerContext& context,
-                 const RiskFilter& filter,
-                 std::vector<sim::NodeAvailability>& avail,
-                 std::vector<sim::Assignment>& out, ScoreFn&& score) {
-  avail = context.avail;
+                 const RiskFilter& filter, SiteIndex& index,
+                 std::vector<sim::Assignment>& out, SiteIndex::Score kind) {
+  index.rebuild(context);
   out.clear();
 
   for (std::size_t j = 0; j < context.jobs.size(); ++j) {
     const sim::BatchJob& job = context.jobs[j];
-    const RiskFilter::JobFilter admission = filter.job(job);
-    sim::SiteId best_site = sim::kInvalidSite;
-    double best_score = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < context.sites.size(); ++s) {
-      if (!admission.admits(context, s)) continue;
-      const double value = score(job, s, avail[s]);
-      if (value < best_score) {
-        best_score = value;
-        best_site = static_cast<sim::SiteId>(s);
-      }
-    }
-    if (best_site == sim::kInvalidSite) continue;  // stays pending
-    avail[best_site].reserve(job.nodes, context.exec_time(job, best_site),
-                             context.now);
-    out.push_back({j, best_site});
+    const sim::SiteId site = index.best(job, filter.job(job), kind).site;
+    if (site == sim::kInvalidSite) continue;  // stays pending
+    index.reserve(site, job.nodes, context.exec_time(job, site), context.now);
+    out.push_back({j, site});
   }
 }
 
@@ -42,31 +29,17 @@ void single_pass(const sim::SchedulerContext& context,
 
 void MctScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
-  single_pass(context, filter_, avail_, out,
-              [&](const sim::BatchJob& job, std::size_t s,
-                  const sim::NodeAvailability& avail) {
-                return avail
-                    .preview(job.nodes, context.exec_time(job, s), context.now)
-                    .end;
-              });
+  single_pass(context, filter_, index_, out, SiteIndex::Score::kCompletion);
 }
 
 void MetScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
-  single_pass(context, filter_, avail_, out,
-              [&](const sim::BatchJob& job, std::size_t s,
-                  const sim::NodeAvailability&) {
-                return context.exec_time(job, s);
-              });
+  single_pass(context, filter_, index_, out, SiteIndex::Score::kExec);
 }
 
 void OlbScheduler::schedule_into(const sim::SchedulerContext& context,
                                  std::vector<sim::Assignment>& out) {
-  single_pass(context, filter_, avail_, out,
-              [&](const sim::BatchJob& job, std::size_t,
-                  const sim::NodeAvailability& avail) {
-                return avail.earliest_start(job.nodes, context.now);
-              });
+  single_pass(context, filter_, index_, out, SiteIndex::Score::kStart);
 }
 
 }  // namespace gridsched::sched

@@ -149,6 +149,14 @@ TEST(LintR01, GaProblemMustCarryMarkers) {
   EXPECT_TRUE(has(diags, "GS-R01", "src/core/ga_problem.cpp", 1));
 }
 
+TEST(LintR01, SiteIndexMustCarryMarkers) {
+  const auto diags = lint_one("src/sched/site_index.cpp", "void f() {}\n");
+  EXPECT_TRUE(has(diags, "GS-R01", "src/sched/site_index.cpp", 1));
+  EXPECT_TRUE(lint_one("src/sched/site_index.cpp",
+                       "// GS-FASTPATH-BEGIN: r\n// GS-FASTPATH-END\n")
+                  .empty());
+}
+
 TEST(LintR01, UnmatchedMarkersAreFlagged) {
   const auto diags =
       lint_one("src/core/other.cpp", "// GS-FASTPATH-BEGIN: region\n");

@@ -93,6 +93,90 @@ sim::SchedulerContext random_context(std::uint64_t index) {
   return context;
 }
 
+/// A batch context on a 200-1500-site grid, deep enough for a SiteIndex
+/// tree of several levels. Coarse grids (speeds 0.625/1.25/2.5, free times
+/// and work on multiples that those speeds divide) put equal completion
+/// times in different leaves, including a faster site at a higher id than
+/// a slower one it ties with. Near grids draw work at random over speeds
+/// 0.9 and 2.9, half of them nudged one ulp up: the nudged site often ties
+/// the plain one at a higher id, and work * (1 / speed) often rounds above
+/// work / speed there (both speeds' reciprocals round up), so a bound that
+/// took that extra rounding would prune past the tie. Node counts and
+/// requests are mostly not powers of two, some requests exceed every site,
+/// some contexts mask every site down, and some secure_only jobs demand
+/// levels few sites reach.
+sim::SchedulerContext large_context(std::uint64_t index) {
+  util::Rng rng =
+      util::SeedMix(20050419).mix("sched-differential-large").mix(index).rng();
+  sim::SchedulerContext context;
+  context.now = static_cast<double>(rng.uniform_int(0, 20)) * 50.0;
+  const std::size_t n_sites = 200 + rng.index(1301);
+  const std::size_t n_jobs = 1 + rng.index(24);
+  const std::size_t grid = index % 3;  // 0 fine, 1 coarse, 2 near
+  const bool coarse = grid != 0;
+  const bool all_down = index % 7 == 6;
+  static constexpr double kCoarseSpeeds[] = {0.625, 1.25, 2.5};
+  static constexpr double kNearSpeeds[] = {0.9, 2.9};
+
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    sim::SiteConfig site;
+    site.id = static_cast<sim::SiteId>(s);
+    site.nodes = static_cast<unsigned>(1 + rng.index(24));
+    if (grid == 0) {
+      site.speed = rng.uniform(0.5, 4.0);
+    } else if (grid == 1) {
+      site.speed = kCoarseSpeeds[rng.index(3)];
+    } else {
+      site.speed = kNearSpeeds[rng.index(2)];
+      if (rng.bernoulli(0.5)) site.speed = std::nextafter(site.speed, kInf);
+    }
+    site.security = coarse ? 0.4 + 0.1 * static_cast<double>(rng.index(7))
+                           : rng.uniform(0.4, 1.0);
+    sim::NodeAvailability avail(site.nodes, 0.0);
+    for (std::size_t r = rng.index(4); r > 0; --r) {
+      const auto k = static_cast<unsigned>(1 + rng.index(site.nodes));
+      avail.reserve(k,
+                    coarse ? static_cast<double>(rng.uniform_int(1, 30)) * 50.0
+                           : rng.uniform(1.0, 3000.0),
+                    0.0);
+    }
+    context.sites.push_back(site);
+    context.avail.push_back(std::move(avail));
+  }
+  if (all_down || rng.bernoulli(0.5)) {
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      context.site_up.push_back(!all_down && rng.bernoulli(0.75) ? 1 : 0);
+    }
+  }
+
+  const bool raw_etc = index % 2 == 1;  // every grid with both models
+  const std::size_t trace_jobs = 2 * n_jobs + 1;
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    sim::BatchJob job;
+    job.id = static_cast<sim::JobId>(raw_etc ? rng.index(trace_jobs) : j);
+    job.work = grid == 1 ? static_cast<double>(rng.uniform_int(1, 16)) * 75.0
+                         : rng.uniform(10.0, 5000.0);
+    job.nodes = static_cast<unsigned>(1 + rng.index(30));  // some never fit
+    job.demand = coarse ? 0.6 + 0.1 * static_cast<double>(rng.index(4))
+                        : rng.uniform(0.6, 0.9);
+    job.secure_only = rng.bernoulli(0.2);
+    if (rng.bernoulli(0.15)) {  // few sites are this safe
+      job.demand = coarse ? 1.0 : rng.uniform(0.95, 1.0);
+      job.secure_only = true;
+    }
+    context.jobs.push_back(job);
+  }
+  if (raw_etc) {
+    std::vector<double> cells(trace_jobs * n_sites);
+    for (double& cell : cells) {
+      cell = coarse ? static_cast<double>(rng.uniform_int(1, 16)) * 50.0
+                    : rng.uniform(1.0, 3000.0);
+    }
+    context.exec = sim::ExecModel(trace_jobs, n_sites, std::move(cells));
+  }
+  return context;
+}
+
 void expect_same(const std::vector<sim::Assignment>& expected,
                  const std::vector<sim::Assignment>& actual,
                  const std::string& label) {
@@ -105,12 +189,10 @@ void expect_same(const std::vector<sim::Assignment>& expected,
   }
 }
 
-TEST(SchedDifferential, HeuristicsMatchReferenceBodies) {
-  constexpr std::uint64_t kContexts = 300;
-  std::vector<sim::SchedulerContext> contexts;
-  for (std::uint64_t i = 0; i < kContexts; ++i) {
-    contexts.push_back(random_context(i));
-  }
+/// Every heuristic x policy against reference_schedule on `contexts`;
+/// returns the number of assignments compared.
+std::size_t expect_match_reference(
+    const std::vector<sim::SchedulerContext>& contexts) {
   std::size_t assignments = 0;
   for (const double lambda : {2.5, 0.7}) {
     for (const security::RiskPolicy& policy : policies(lambda)) {
@@ -120,7 +202,7 @@ TEST(SchedDifferential, HeuristicsMatchReferenceBodies) {
         const std::unique_ptr<sim::BatchScheduler> scheduler =
             make_heuristic(name, policy);
         std::vector<sim::Assignment> into;
-        for (std::uint64_t i = 0; i < kContexts; ++i) {
+        for (std::size_t i = 0; i < contexts.size(); ++i) {
           const std::string label =
               scheduler->name() + " f=" + std::to_string(policy.f()) +
               " lambda=" + std::to_string(lambda) + " context " +
@@ -135,7 +217,69 @@ TEST(SchedDifferential, HeuristicsMatchReferenceBodies) {
       }
     }
   }
-  EXPECT_GT(assignments, 10000u);  // the contexts are not degenerate
+  return assignments;
+}
+
+TEST(SchedDifferential, HeuristicsMatchReferenceBodies) {
+  constexpr std::uint64_t kContexts = 300;
+  std::vector<sim::SchedulerContext> contexts;
+  for (std::uint64_t i = 0; i < kContexts; ++i) {
+    contexts.push_back(random_context(i));
+  }
+  // The contexts are not degenerate.
+  EXPECT_GT(expect_match_reference(contexts), 10000u);
+}
+
+TEST(SchedDifferential, HeuristicsMatchReferenceBodiesOnLargeGrids) {
+  constexpr std::uint64_t kContexts = 24;
+  std::vector<sim::SchedulerContext> contexts;
+  for (std::uint64_t i = 0; i < kContexts; ++i) {
+    contexts.push_back(large_context(i));
+  }
+  EXPECT_GT(expect_match_reference(contexts), 2000u);
+}
+
+TEST(SchedDifferential, ZeroNodeJobsThrowWhereASiteIsAdmissible) {
+  for (sim::SchedulerContext context : {random_context(1), large_context(0)}) {
+    context.site_up.clear();  // every site up: the job is admissible
+    context.jobs.resize(1);
+    context.jobs[0].id = 0;  // a raw-ETC matrix has a row 0
+    context.jobs[0].nodes = 0;
+    context.jobs[0].secure_only = false;
+    const security::RiskPolicy policy = security::RiskPolicy::risky();
+    for (const std::string& name : heuristic_names()) {
+      EXPECT_THROW(reference_schedule(name, context, policy),
+                   std::invalid_argument)
+          << name;
+      EXPECT_THROW(make_heuristic(name, policy)->schedule(context),
+                   std::invalid_argument)
+          << name;
+    }
+    // With every site masked down nothing is admissible: no throw, and
+    // the job stays pending.
+    context.site_up.assign(context.sites.size(), 0);
+    for (const std::string& name : heuristic_names()) {
+      EXPECT_TRUE(reference_schedule(name, context, policy).empty()) << name;
+      EXPECT_TRUE(make_heuristic(name, policy)->schedule(context).empty())
+          << name;
+    }
+  }
+}
+
+TEST(SchedDifferential, ProfilesThatDoNotMatchTheSitesAreRejected) {
+  sim::SchedulerContext context = random_context(2);
+  context.avail.pop_back();  // one site without a profile
+  for (const std::string& name : heuristic_names()) {
+    EXPECT_THROW(
+        make_heuristic(name, security::RiskPolicy::risky())->schedule(context),
+        std::invalid_argument)
+        << name;
+  }
+  context = random_context(2);
+  context.avail[0] = sim::NodeAvailability(context.sites[0].nodes + 1, 0.0);
+  EXPECT_THROW(
+      make_heuristic("mct", security::RiskPolicy::risky())->schedule(context),
+      std::invalid_argument);
 }
 
 TEST(SchedDifferential, ReferenceRejectsUnknownHeuristic) {

@@ -2,8 +2,9 @@
 // the event loop has warmed its buffers (slot table, event queue, pending
 // queue, scheduler context), running the hot loop — admissions,
 // dispatches, completions, retirements, slot recycling — must perform
-// ZERO heap allocations — with the real list heuristics (MCT, Min-Min)
-// scheduling too, whose working buffers persist across cycles. Pinned
+// ZERO heap allocations — with each of the six list heuristics scheduling
+// too, whose working buffers (the site index among them) persist across
+// cycles. Pinned
 // with the same binary-wide counting allocator the decode fast path uses
 // (decode_harness.hpp; this must stay the only translation unit in this
 // binary including it).
@@ -71,14 +72,50 @@ class AllocSampleObserver final : public sim::KernelObserver {
   std::vector<std::uint64_t> samples;
 };
 
-/// Runs a 6000-job streaming workload under `scheduler` and checks that
-/// the second half of its batch cycles performed no heap allocation.
-void expect_allocation_free_stream(sim::BatchScheduler& scheduler) {
+/// Forwards to `inner` and records, after every cycle, how many heap
+/// allocations its schedule_into calls have made so far: the scheduler's
+/// own share of the event loop's heap traffic.
+class SchedulerAllocProbe final : public sim::BatchScheduler {
+ public:
+  explicit SchedulerAllocProbe(sim::BatchScheduler& inner) : inner_(inner) {
+    samples.reserve(4096);
+  }
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  void schedule_into(const sim::SchedulerContext& context,
+                     std::vector<sim::Assignment>& out) override {
+    const std::uint64_t before = allocation_count();
+    inner_.schedule_into(context, out);
+    inside_ += allocation_count() - before;
+    if (samples.size() < samples.capacity()) samples.push_back(inside_);
+  }
+
+  std::vector<std::uint64_t> samples;
+
+ private:
+  sim::BatchScheduler& inner_;
+  std::uint64_t inside_ = 0;
+};
+
+/// Which allocations the steady state must be free of.
+enum class Scope {
+  kEventLoop,  ///< the whole loop: kernel and scheduler
+  kScheduler,  ///< the scheduler's schedule_into calls only
+};
+
+/// Runs a 6000-job streaming workload on `n_sites` sites under `scheduler`
+/// and checks that the second half of its batch cycles performed no heap
+/// allocation within `scope`.
+void expect_allocation_free_stream(sim::BatchScheduler& scheduler,
+                                   std::size_t n_sites = 20,
+                                   Scope scope = Scope::kEventLoop) {
   workload::synth::SynthStreamConfig config;
   config.name = "alloc-probe";
   config.n_jobs = 6000;
-  config.n_sites = 20;
-  config.arrival.rate = 0.2;  // ~70% load on the 20-site default pattern
+  config.n_sites = n_sites;
+  // ~70% load on the default site pattern (0.2 jobs/s per 20 sites).
+  config.arrival.rate = 0.01 * static_cast<double>(n_sites);
   workload::synth::StreamWorkload stream =
       workload::synth::stream_workload(config, 13);
 
@@ -90,7 +127,8 @@ void expect_allocation_free_stream(sim::BatchScheduler& scheduler) {
                      std::move(stream.churn));
   AllocSampleObserver probe;
   engine.set_observer(&probe);
-  engine.run(scheduler);
+  SchedulerAllocProbe counted(scheduler);
+  engine.run(counted);
 
   EXPECT_EQ(engine.kernel().retired_jobs(), config.n_jobs);
   ASSERT_GE(probe.samples.size(), 16u)
@@ -99,13 +137,16 @@ void expect_allocation_free_stream(sim::BatchScheduler& scheduler) {
   // Every buffer high-water mark is deterministic (fixed seeds), so the
   // allocation count at two fixed cycles is deterministic too: after the
   // warmup half, the hot loop must not have touched the heap at all.
-  const std::size_t half = probe.samples.size() / 2;
-  const std::uint64_t at_half = probe.samples[half];
-  const std::uint64_t at_end = probe.samples.back();
+  const std::vector<std::uint64_t>& samples =
+      scope == Scope::kEventLoop ? probe.samples : counted.samples;
+  const std::size_t half = samples.size() / 2;
+  const std::uint64_t at_half = samples[half];
+  const std::uint64_t at_end = samples.back();
   EXPECT_EQ(at_half, at_end)
       << (at_end - at_half) << " heap allocation(s) in the steady-state "
-      << "event loop under " << scheduler.name() << " between cycle "
-      << half << " and cycle " << (probe.samples.size() - 1);
+      << (scope == Scope::kEventLoop ? "event loop" : "scheduler")
+      << " under " << scheduler.name() << " between cycle " << half
+      << " and cycle " << (samples.size() - 1);
 }
 
 TEST(StreamKernelAlloc, SteadyStateEventLoopIsAllocationFree) {
@@ -121,6 +162,38 @@ TEST(StreamKernelAlloc, MctSchedulerSteadyStateIsAllocationFree) {
 TEST(StreamKernelAlloc, MinMinSchedulerSteadyStateIsAllocationFree) {
   sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
   expect_allocation_free_stream(scheduler);
+}
+
+TEST(StreamKernelAlloc, MaxMinSchedulerSteadyStateIsAllocationFree) {
+  sched::MaxMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(scheduler);
+}
+
+TEST(StreamKernelAlloc, SufferageSchedulerSteadyStateIsAllocationFree) {
+  sched::SufferageScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(scheduler);
+}
+
+TEST(StreamKernelAlloc, MetSchedulerSteadyStateIsAllocationFree) {
+  // MET ignores load, so its backlog on the fastest site grows through the
+  // whole run: the kernel's event heap and slot buffers keep reaching new
+  // high-water marks (amortised doublings). The scheduler's own calls must
+  // still be heap-free.
+  sched::MetScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(scheduler, 20, Scope::kScheduler);
+}
+
+TEST(StreamKernelAlloc, OlbSchedulerSteadyStateIsAllocationFree) {
+  sched::OlbScheduler scheduler(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(scheduler);
+}
+
+TEST(StreamKernelAlloc, MctAndSufferageOn256SitesAreAllocationFree) {
+  // A tree of 128 leaves: the per-cycle rebuild reuses its capacity.
+  sched::MctScheduler mct(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(mct, 256);
+  sched::SufferageScheduler sufferage(security::RiskPolicy::f_risky(0.5));
+  expect_allocation_free_stream(sufferage, 256);
 }
 
 TEST(StreamKernelAlloc, JobVectorSteadyStateIsAllocationFreeToo) {

@@ -180,10 +180,11 @@ void diag(std::vector<Diagnostic>& out, const LintFile& f, std::size_t line,
 
 // ------------------------------------------------------------------ rules --
 
-/// GS-R01 — no allocating calls inside GS-FASTPATH regions. The decode
-/// fast path (ROADMAP "Decode fast-path invariants") must stay heap-free
-/// in steady state: no stable_sort / inplace_merge (both allocate
-/// temporaries), no std::vector construction, no new.
+/// GS-R01 — no allocating calls inside GS-FASTPATH regions. The GA decode
+/// fast path (ROADMAP "Decode fast-path invariants") and the list
+/// heuristics' site index must stay heap-free in steady state: no
+/// stable_sort / inplace_merge (both allocate temporaries), no std::vector
+/// construction, no new. Both files must carry the fences.
 void rule_r01(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
   for (const LintFile& f : files) {
@@ -213,10 +214,12 @@ void rule_r01(const std::vector<LintFile>& files,
       diag(out, f, open_line, "GS-R01",
            "GS-FASTPATH-BEGIN is never closed");
     }
-    if (f.src->path == "src/core/ga_problem.cpp" && regions.empty()) {
+    if ((f.src->path == "src/core/ga_problem.cpp" ||
+         f.src->path == "src/sched/site_index.cpp") &&
+        regions.empty()) {
       diag(out, f, 1, "GS-R01",
-           "the decode fast path must be fenced with GS-FASTPATH-BEGIN/"
-           "END markers (ROADMAP: zero steady-state allocations)");
+           "this hot path must be fenced with GS-FASTPATH-BEGIN/END "
+           "markers (ROADMAP: zero steady-state allocations)");
     }
     if (regions.empty()) continue;
     const auto in_region = [&](std::size_t line) {
@@ -232,8 +235,8 @@ void rule_r01(const std::vector<LintFile>& files,
           t.text == "make_shared" || t.text == "make_unique") {
         diag(out, f, t.line, "GS-R01",
              "allocating call \"" + t.text +
-                 "\" in the decode fast-path region — per-decode state "
-                 "belongs in the DecodeScratch arena");
+                 "\" in a GS-FASTPATH region — steady-state buffers are "
+                 "sized outside the fences and reused");
       }
     }
   }
@@ -629,7 +632,7 @@ const std::vector<RuleInfo>& rule_infos() {
   static const std::vector<RuleInfo> infos = {
       {"GS-R00", "suppression hygiene: NOLINT(GS-Rxx) needs a reason; "
                  "BEGIN/END pairs must match"},
-      {"GS-R01", "no allocating calls inside GS-FASTPATH decode regions"},
+      {"GS-R01", "no allocating calls inside GS-FASTPATH regions"},
       {"GS-R02", "no wall-clock sources in byte-stable artifact renderers"},
       {"GS-R03", "schedulers must not recompute work / speed"},
       {"GS-R04", "SplitMix64 stays pinned; SeedMix domains unique per "
