@@ -272,7 +272,7 @@ int cmd_run(const util::Cli& cli) {
   };
 
   if (cli.has("trace") && cli.has("sites")) {
-    // Replay mode: explicit traces, direct engine drive. v2 traces carry
+    // Replay mode: explicit traces, direct kernel drive. v2 traces carry
     // the raw ETC matrix and replay it exactly; v1 traces fall back to
     // the rank-1 work/speed model.
     const workload::JobsTrace trace =
@@ -292,10 +292,10 @@ int cmd_run(const util::Cli& cli) {
       GS_LOG_WARN("trace carries no ETC section; replay uses the rank-1 "
                   "work/speed execution model");
     }
-    sim::Engine engine(sites, trace.jobs, config, trace.exec);
-    engine.set_observer(observer);
-    engine.run(*scheduler);
-    print_metrics(scheduler->name(), metrics::compute_metrics(engine), csv);
+    sim::SimKernel kernel(sites, trace.jobs, config, trace.exec);
+    kernel.set_observer(observer);
+    kernel.run(*scheduler);
+    print_metrics(scheduler->name(), metrics::compute_metrics(kernel), csv);
     write_observability();
     return 0;
   }

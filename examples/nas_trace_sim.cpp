@@ -28,10 +28,10 @@ int main(int argc, char** argv) {
     const auto sites = workload::read_sites_file(*cli.get("sites"));
     std::printf("Replaying %zu jobs on %zu sites from files\n\n", jobs.size(),
                 sites.size());
-    sim::Engine engine(sites, jobs, scenario.engine);
+    sim::SimKernel kernel(sites, jobs, scenario.engine);
     sched::MinMinScheduler scheduler(security::RiskPolicy::f_risky(0.5));
-    engine.run(scheduler);
-    const auto run = metrics::compute_metrics(engine);
+    kernel.run(scheduler);
+    const auto run = metrics::compute_metrics(kernel);
     std::printf("makespan %.0f s, avg response %.0f s, slowdown %.2f\n",
                 run.makespan, run.avg_response, run.slowdown_ratio);
     return 0;

@@ -44,9 +44,9 @@ void train_stga(const Scenario& scenario, const workload::Workload& main,
     sim::EngineConfig engine_config = scenario.engine;
     engine_config.seed = phase_seed;
     engine_config.cancel = cancel;  // the watchdog covers training too
-    sim::Engine engine(std::move(training.sites), std::move(training.jobs),
-                       engine_config, std::move(training.exec));
-    engine.run(recorder);
+    sim::SimKernel kernel(std::move(training.sites), std::move(training.jobs),
+                          engine_config, std::move(training.exec));
+    kernel.run(recorder);
   }
 }
 
@@ -102,11 +102,11 @@ metrics::RunMetrics run_once(const Scenario& scenario,
   sim::EngineConfig engine_config = scenario.engine;
   engine_config.seed = engine_seed;
   engine_config.cancel = hooks.cancel;
-  sim::Engine engine(std::move(main.sites), std::move(jobs), engine_config,
-                     std::move(main.exec), std::move(main.churn));
-  engine.set_observer(hooks.observer);
-  engine.run(*scheduler);
-  return metrics::compute_metrics(engine);
+  sim::SimKernel kernel(std::move(main.sites), std::move(jobs), engine_config,
+                        std::move(main.exec), std::move(main.churn));
+  kernel.set_observer(hooks.observer);
+  kernel.run(*scheduler);
+  return metrics::compute_metrics(kernel);
 }
 
 ReplicatedResult run_replicated(const Scenario& scenario,

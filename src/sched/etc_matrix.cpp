@@ -2,44 +2,19 @@
 
 namespace gridsched::sched {
 
-namespace {
-
-/// The one feasibility-gated fill: cell = exec_of(j, s) where the job fits,
-/// kInfeasible otherwise. Both constructors (and, through the context one,
-/// core::build_problem) resolve cells here.
-template <typename ExecFn>
-std::vector<double> fill_cells(const std::vector<sim::BatchJob>& jobs,
-                               const std::vector<sim::SiteConfig>& sites,
-                               ExecFn&& exec_of) {
-  std::vector<double> cells(jobs.size() * sites.size(),
-                            EtcMatrix::kInfeasible);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (std::size_t s = 0; s < sites.size(); ++s) {
-      if (jobs[j].nodes <= sites[s].nodes) {
-        cells[j * sites.size() + s] = exec_of(j, s);
+// The one feasibility-gated fill: cell = context.exec_time where the job
+// fits, kInfeasible otherwise (core::build_problem resolves cells here).
+EtcMatrix::EtcMatrix(const sim::SchedulerContext& context)
+    : n_jobs_(context.jobs.size()), n_sites_(context.sites.size()),
+      cells_(n_jobs_ * n_sites_, kInfeasible) {
+  for (std::size_t j = 0; j < n_jobs_; ++j) {
+    const sim::BatchJob& job = context.jobs[j];
+    for (std::size_t s = 0; s < n_sites_; ++s) {
+      if (job.nodes <= context.sites[s].nodes) {
+        cells_[j * n_sites_ + s] = context.exec_time(job, s);
       }
     }
   }
-  return cells;
 }
-
-}  // namespace
-
-EtcMatrix::EtcMatrix(const sim::SchedulerContext& context)
-    : n_jobs_(context.jobs.size()), n_sites_(context.sites.size()),
-      cells_(fill_cells(context.jobs, context.sites, [&](std::size_t j,
-                                                         std::size_t s) {
-        return context.exec_time(context.jobs[j], s);
-      })) {}
-
-EtcMatrix::EtcMatrix(const std::vector<sim::BatchJob>& jobs,
-                     const std::vector<sim::SiteConfig>& sites)
-    : n_jobs_(jobs.size()), n_sites_(sites.size()),
-      cells_(fill_cells(jobs, sites, [&](std::size_t j, std::size_t s) {
-        // The one sanctioned rank-1 projection — the context-free
-        // fallback when no raw ETC matrix is attached.
-        // NOLINTNEXTLINE(GS-R03): sanctioned work/speed fallback
-        return jobs[j].work / sites[s].speed;
-      })) {}
 
 }  // namespace gridsched::sched

@@ -19,15 +19,8 @@ class EtcMatrix {
 
   /// Batch view of the context's execution model: the raw per-(job, site)
   /// ETC when the workload carries one, the rank-1 work/speed law
-  /// otherwise. This is the constructor context-holding callers use —
-  /// building from (jobs, sites) alone would silently re-project raw-ETC
-  /// scenarios.
+  /// otherwise.
   explicit EtcMatrix(const sim::SchedulerContext& context);
-
-  /// Rank-1 work/speed matrix, for callers without a context (tests,
-  /// hand-assembled experiments).
-  EtcMatrix(const std::vector<sim::BatchJob>& jobs,
-            const std::vector<sim::SiteConfig>& sites);
 
   [[nodiscard]] std::size_t jobs() const noexcept { return n_jobs_; }
   [[nodiscard]] std::size_t sites() const noexcept { return n_sites_; }

@@ -21,19 +21,6 @@ bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
   return context.site_usable(s) && admissible(job, context.sites[s], policy);
 }
 
-std::vector<sim::SiteId> admissible_sites(
-    const sim::BatchJob& job, const std::vector<sim::SiteConfig>& sites,
-    const security::RiskPolicy& policy) {
-  std::vector<sim::SiteId> result;
-  result.reserve(sites.size());
-  for (std::size_t s = 0; s < sites.size(); ++s) {
-    if (admissible(job, sites[s], policy)) {
-      result.push_back(static_cast<sim::SiteId>(s));
-    }
-  }
-  return result;
-}
-
 std::vector<sim::SiteId> admissible_sites(const sim::SchedulerContext& context,
                                           const sim::BatchJob& job,
                                           const security::RiskPolicy& policy) {

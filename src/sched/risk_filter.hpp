@@ -24,11 +24,6 @@ bool admissible(const sim::BatchJob& job, const sim::SiteConfig& site,
 bool admissible(const sim::SchedulerContext& context, const sim::BatchJob& job,
                 std::size_t s, const security::RiskPolicy& policy) noexcept;
 
-/// Indices (into `sites`) of every admissible site, in site order.
-std::vector<sim::SiteId> admissible_sites(
-    const sim::BatchJob& job, const std::vector<sim::SiteConfig>& sites,
-    const security::RiskPolicy& policy);
-
 /// Mask-aware admissible set over the context's sites, in site order.
 std::vector<sim::SiteId> admissible_sites(const sim::SchedulerContext& context,
                                           const sim::BatchJob& job,

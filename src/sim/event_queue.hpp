@@ -28,12 +28,7 @@ enum class EventKind : std::uint8_t {
   kJobEnd,       ///< payload = job id; success or failure detection
   kSiteDown,     ///< payload = site id; churn outage begins
   kSiteUp,       ///< payload = site id; churn outage ends
-  kKindCount_,   ///< sentinel — keep last (sizes the kernel routing table)
 };
-
-/// Number of EventKind values (sizes the kernel's routing table).
-inline constexpr std::size_t kEventKindCount =
-    static_cast<std::size_t>(EventKind::kKindCount_);
 
 struct Event {
   Time time = 0.0;

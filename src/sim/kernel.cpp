@@ -5,6 +5,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/process/arrival_process.hpp"
+#include "sim/process/batch_cycle_process.hpp"
+#include "sim/process/security_failure_process.hpp"
+#include "sim/process/site_churn_process.hpp"
+
 namespace gridsched::sim {
 
 namespace {
@@ -26,17 +31,66 @@ std::size_t checked_stream_size(
   return stream->size();
 }
 
+/// An outage script the site-churn handler can run: every outage is a
+/// positive-length window on a site the grid has, and no two outages of
+/// one site overlap.
+void validate_outages(const std::vector<SiteOutage>& outages,
+                      std::size_t n_sites) {
+  for (const SiteOutage& outage : outages) {
+    if (!(outage.up > outage.down) || outage.down < 0.0) {
+      throw std::invalid_argument(
+          "SimKernel: outage must satisfy 0 <= down < up");
+    }
+    if (outage.site >= n_sites) {
+      throw std::invalid_argument("SimKernel: outage names site " +
+                                  std::to_string(outage.site) + " of a " +
+                                  std::to_string(n_sites) + "-site grid");
+    }
+  }
+  // The availability mask is a boolean, so overlapping outages for one
+  // site would let the first kSiteUp re-enable a site a second outage
+  // still holds down. Reject them instead of mis-simulating.
+  std::vector<SiteOutage> sorted = outages;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const SiteOutage& a, const SiteOutage& b) {
+                     if (a.site != b.site) return a.site < b.site;
+                     return a.down < b.down;
+                   });
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].site == sorted[i - 1].site &&
+        sorted[i].down < sorted[i - 1].up) {
+      throw std::invalid_argument(
+          "SimKernel: overlapping outages for one site");
+    }
+  }
+}
+
+bool any_churns(const std::vector<SiteChurnParams>& churn) {
+  return std::any_of(churn.begin(), churn.end(),
+                     [](const SiteChurnParams& p) { return p.churns(); });
+}
+
 }  // namespace
 
 SimKernel::SimKernel(std::vector<SiteConfig> sites,
                      std::unique_ptr<workload::JobStream> stream,
-                     EngineConfig config, ExecModel exec_model)
+                     EngineConfig config, ExecModel exec_model,
+                     std::vector<SiteChurnParams> churn,
+                     std::vector<SiteOutage> outages)
     : config_(config),
       exec_model_(std::move(exec_model)),
-      total_jobs_(checked_stream_size(stream)) {
+      total_jobs_(checked_stream_size(stream)),
+      churn_(std::move(churn)),
+      outages_(std::move(outages)) {
   if (sites.empty()) throw std::invalid_argument("Engine: no sites");
   if (config_.batch_interval <= 0.0) {
     throw std::invalid_argument("Engine: batch_interval must be > 0");
+  }
+  validate_outages(outages_, sites.size());
+  if (!outages_.empty() && any_churns(churn_)) {
+    throw std::invalid_argument(
+        "SimKernel: an outage script and churning site parameters are "
+        "exclusive");
   }
   sites_.reserve(sites.size());
   for (std::size_t i = 0; i < sites.size(); ++i) {
@@ -186,19 +240,6 @@ std::string SimKernel::describe_unfinished(Time sim_time) const {
   return text + "]";
 }
 
-void SimKernel::add_process(SimProcess& process) {
-  if (ran_) throw std::logic_error("SimKernel: add_process after run");
-  for (const EventKind kind : process.owned_kinds()) {
-    SimProcess*& route = routes_[static_cast<std::size_t>(kind)];
-    if (route != nullptr) {
-      throw std::logic_error("SimKernel: event kind already routed to " +
-                             std::string(route->name()));
-    }
-    route = &process;
-  }
-  processes_.push_back(&process);
-}
-
 void SimKernel::request_cycle(Time now) {
   if (cycle_scheduled_) return;
   // Smallest integer cycle index whose derived time is strictly after
@@ -224,8 +265,8 @@ void SimKernel::request_cycle(Time now) {
 }
 
 unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
-  Job& the_job = job(job_id);
-  Attempt& the_attempt = attempt(job_id);
+  Job& the_job = mutable_job(job_id);
+  Attempt& the_attempt = mutable_attempt(job_id);
   if (observer_) observer_->on_revoke(*this, job_id, the_attempt.site, now);
   the_attempt.active = false;  // any queued kJobEnd for this attempt is stale
   --running_;
@@ -240,19 +281,15 @@ unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
   return released;
 }
 
-void SimKernel::run() {
+void SimKernel::run(BatchScheduler& scheduler) {
   if (ran_) throw std::logic_error("Engine::run called twice");
   ran_ = true;
-  // The kernel does not own its processes (typically facade locals); drop
-  // every reference on the way out — normal or throwing — so the exposed
-  // post-run kernel can never dereference a dead process.
-  struct RouteGuard {
-    SimKernel* kernel;
-    ~RouteGuard() {
-      kernel->processes_.clear();
-      for (SimProcess*& route : kernel->routes_) route = nullptr;
-    }
-  } guard{this};
+  ArrivalProcess arrival;
+  SecurityFailureProcess failure;
+  BatchCycleProcess batch(scheduler, failure);
+  const bool churns = !outages_.empty() || any_churns(churn_);
+  SiteChurnProcess churn(std::move(churn_), std::move(outages_),
+                         config_.seed);
 
   arrivals_remaining_ = total_jobs_;
   // Arrival events carry reserved sequence numbers (seq == job id), so
@@ -262,12 +299,15 @@ void SimKernel::run() {
   events_.reserve_seqs(total_jobs_);
   // Capacity hint: the queue holds O(active) events.
   events_.reserve(std::min<std::size_t>(total_jobs_, 1024) + 64);
-  for (SimProcess* process : processes_) process->start(*this);
+  // Start order fixes the FIFO tie-break among the seeded events: the
+  // first arrival, then the churn timelines.
+  arrival.start(*this);
+  if (churns) churn.start(*this);
   if (observer_) observer_->on_run_start(*this);
 
   // The loop ends when every job has completed, not when the queue drains:
-  // an open-ended process (site churn) keeps future events queued for as
-  // long as the simulation could need them.
+  // site churn keeps future events queued for as long as the simulation
+  // could need them.
   Time now = 0.0;
   while (!events_.empty()) {
     if (counters_.completed_jobs == total_jobs_) break;
@@ -280,11 +320,25 @@ void SimKernel::run() {
       config_.cancel->check("simulation batch cycle");
     }
     if (observer_) observer_->on_event(*this, event);
-    SimProcess* route = routes_[static_cast<std::size_t>(event.kind)];
-    if (route == nullptr) {
-      throw std::logic_error("SimKernel: event kind has no registered process");
+    // No default: a new EventKind must get a handler here (-Wswitch,
+    // GS-R06).
+    switch (event.kind) {
+      case EventKind::kJobArrival:
+        arrival.handle(*this, event);
+        break;
+      case EventKind::kBatchCycle:
+        batch.handle(*this, event);
+        break;
+      case EventKind::kJobEnd:
+        failure.handle(*this, event);
+        break;
+      case EventKind::kSiteDown:
+        churn.site_down(*this, event);
+        break;
+      case EventKind::kSiteUp:
+        churn.site_up(*this, event);
+        break;
     }
-    route->handle(*this, event);
   }
 
   if (counters_.completed_jobs != total_jobs_) {

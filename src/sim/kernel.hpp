@@ -1,11 +1,11 @@
-// Event-driven simulation kernel. SimKernel owns only the generic
-// machinery — event queue, clock, deterministic FIFO tie-breaking, shared
-// run state (job slots, sites, attempts, pending queue, counters) and the
-// site-availability mask — while every dynamic process of the simulated
-// grid (job arrivals, periodic batch scheduling, security failures, site
-// churn) is a pluggable SimProcess that registers for the event kinds it
-// owns. sim::Engine (engine.hpp) is the compatibility facade that wires
-// the paper's standard process set onto a kernel.
+// Event-driven simulation kernel: the paper's online model (Fig. 1) as one
+// event loop over a fixed event set. SimKernel owns the event queue, the
+// clock, deterministic FIFO tie-breaking, the shared run state (job slots,
+// sites, attempts, pending queue, counters) and the site-availability
+// mask; run() dispatches each of the five EventKinds with one switch to
+// one of four handlers (src/sim/process/): job arrivals, periodic batch
+// scheduling, security failures with fail-stop rescheduling, and site
+// churn (stochastic per-site parameters or a scripted outage list).
 //
 // Jobs enter one way: through a workload::JobStream cursor, admitted
 // lazily one arrival ahead of the clock into a recycled slot table (a job
@@ -21,9 +21,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,13 +31,12 @@
 #include "sim/exec_model.hpp"
 #include "sim/job.hpp"
 #include "sim/observer.hpp"
+#include "sim/scheduling.hpp"
 #include "sim/site.hpp"
 #include "util/cancel.hpp"
 #include "workload/stream.hpp"
 
 namespace gridsched::sim {
-
-class SimKernel;
 
 /// When a doomed risky run is detected as failed (DESIGN.md S4).
 enum class FailureDetection {
@@ -111,90 +108,67 @@ struct Attempt {
   bool active = false;
 };
 
-/// One dynamic process of the simulation. A process registers the event
-/// kinds it owns (routing is exclusive: exactly one process per kind may
-/// be registered), seeds its initial events in start(), and mutates the
-/// shared kernel state in handle().
-class SimProcess {
- public:
-  virtual ~SimProcess() = default;
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-  /// Event kinds routed to this process. Must stay constant.
-  [[nodiscard]] virtual std::span<const EventKind> owned_kinds()
-      const noexcept = 0;
-
-  /// Called once, in registration order, before the event loop.
-  virtual void start(SimKernel& kernel) { (void)kernel; }
-
-  /// Handle one event whose kind this process owns.
-  virtual void handle(SimKernel& kernel, const Event& event) = 0;
-};
-
-/// How a validated (job, site) placement turns into a reservation and an
-/// end event. Implemented by SecurityFailureProcess (which owns the
-/// failure draws); BatchCycleProcess calls it for each assignment.
-class DispatchModel {
- public:
-  virtual ~DispatchModel() = default;
-  virtual void dispatch(SimKernel& kernel, JobId job, SiteId site,
-                        Time now) = 0;
-};
-
-/// The kernel: event queue + clock + shared state + routing. Construction
-/// validates the grid and the config; each job is validated as it is
-/// admitted during run(). The caller registers processes (non-owning) and
-/// calls run().
+/// The kernel: event queue + clock + shared state + the fixed event set.
+/// Construction validates the grid, the config and the churn input; each
+/// job is validated as it is admitted during run(). Only the four handlers
+/// (src/sim/process/) mutate the run state; the public accessors are
+/// read-only.
 class SimKernel {
  public:
   /// Pull jobs from `stream` on demand and recycle slots as jobs retire;
   /// resident job state is O(active). Every admission is validated in O(1)
   /// (feasibility via a precomputed best-security-per-node-count table),
   /// and arrivals must be nondecreasing.
+  /// `exec_model`: per-(job, site) execution times. A raw ETC matrix (rows
+  /// keyed by job id, i.e. stream position) is authoritative; the default
+  /// model is the rank-1 work/speed fallback.
+  /// `churn`: per-site up/down parameters (entries beyond the site count
+  /// are ignored; empty, or all entries with mtbf/mttr <= 0, means no
+  /// stochastic churn). `outages`: an explicit outage script, run in the
+  /// given order. Throws std::invalid_argument for an outage that is not
+  /// 0 <= down < up, names a site the grid lacks, or overlaps another
+  /// outage of its site, and for a script given together with churning
+  /// parameters.
   SimKernel(std::vector<SiteConfig> sites,
             std::unique_ptr<workload::JobStream> stream,
-            EngineConfig config = {}, ExecModel exec_model = {});
+            EngineConfig config = {}, ExecModel exec_model = {},
+            std::vector<SiteChurnParams> churn = {},
+            std::vector<SiteOutage> outages = {});
 
   /// Convenience: admit the jobs of `jobs`, in order, as a
   /// MaterializedStream.
   SimKernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
-            EngineConfig config = {}, ExecModel exec_model = {})
+            EngineConfig config = {}, ExecModel exec_model = {},
+            std::vector<SiteChurnParams> churn = {},
+            std::vector<SiteOutage> outages = {})
       : SimKernel(std::move(sites),
                   std::make_unique<workload::MaterializedStream>(
                       std::move(jobs)),
-                  config, std::move(exec_model)) {}
+                  config, std::move(exec_model), std::move(churn),
+                  std::move(outages)) {}
 
-  /// Register a process and route its owned kinds to it. Throws
-  /// std::logic_error if a kind is already routed or run() has started.
-  void add_process(SimProcess& process);
+  /// Run the event loop to completion (all jobs finished) under
+  /// `scheduler`, which must outlive the call. Throws on scheduler
+  /// protocol violations and if the queue drains with unfinished jobs.
+  /// May be called once.
+  void run(BatchScheduler& scheduler);
 
-  /// Run the event loop to completion (all jobs finished). Throws on
-  /// scheduler protocol violations and if the queue drains with unfinished
-  /// jobs. May be called once.
-  void run();
-
-  // --- shared state, mutable for processes ---
+  // --- read-only run state (observers, metrics, diagnostics) ---
   /// The job slot table: live slots, plus recycled slots that hold stale
-  /// retired data until reused. Processes address jobs by id via
+  /// retired data until reused. Readers address jobs by id via
   /// job()/attempt(); only slot-parallel scans (timeseries busy profile,
   /// churn victim sweep) index this directly, always gated on
   /// Attempt::active.
-  [[nodiscard]] std::vector<Job>& jobs() noexcept { return jobs_; }
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
-  [[nodiscard]] std::vector<GridSite>& sites() noexcept { return sites_; }
   [[nodiscard]] const std::vector<GridSite>& sites() const noexcept {
     return sites_;
   }
-  [[nodiscard]] std::vector<Attempt>& attempts() noexcept { return attempts_; }
   [[nodiscard]] const std::vector<Attempt>& attempts() const noexcept {
     return attempts_;
   }
-  [[nodiscard]] std::vector<JobId>& pending() noexcept { return pending_; }
   [[nodiscard]] const std::vector<JobId>& pending() const noexcept {
     return pending_;
   }
-  [[nodiscard]] EngineCounters& counters() noexcept { return counters_; }
   [[nodiscard]] const EngineCounters& counters() const noexcept {
     return counters_;
   }
@@ -208,14 +182,8 @@ class SimKernel {
   [[nodiscard]] std::size_t total_jobs() const noexcept { return total_jobs_; }
   /// Job / attempt by id. Valid for live ids only: admitted and not yet
   /// retired.
-  [[nodiscard]] Job& job(JobId id) noexcept {
-    return jobs_[slot_of_[id & slot_mask_]];
-  }
   [[nodiscard]] const Job& job(JobId id) const noexcept {
     return jobs_[slot_of_[id & slot_mask_]];
-  }
-  [[nodiscard]] Attempt& attempt(JobId id) noexcept {
-    return attempts_[slot_of_[id & slot_mask_]];
   }
   [[nodiscard]] const Attempt& attempt(JobId id) const noexcept {
     return attempts_[slot_of_[id & slot_mask_]];
@@ -238,6 +206,49 @@ class SimKernel {
   /// tests pin.
   [[nodiscard]] std::size_t peak_slots() const noexcept { return jobs_.size(); }
 
+  /// Diagnostic text for runs that end with incomplete jobs: names the
+  /// unfinished count, the first few job ids (with their states; jobs not
+  /// yet admitted report as pending) and the simulation time. Shared by
+  /// the kernel's terminal error and metrics::compute_metrics so both
+  /// failure surfaces stay equally actionable.
+  [[nodiscard]] std::string describe_unfinished(Time sim_time) const;
+
+  /// max over jobs of finish time (0 before run / for empty workloads).
+  [[nodiscard]] Time makespan() const noexcept { return makespan_; }
+
+  // --- site availability mask (maintained by the site-churn handler) ---
+  [[nodiscard]] bool site_usable(std::size_t site) const noexcept {
+    return site_up_[site] != 0;
+  }
+  /// The mask as handed to SchedulerContext (1 = usable).
+  [[nodiscard]] const std::vector<std::uint8_t>& site_mask() const noexcept {
+    return site_up_;
+  }
+
+  // --- observation (null observer = zero-cost fast path) ---
+  /// Attach a passive observer (nullptr detaches). Observers are
+  /// non-owning and must outlive run(). With none attached every notify
+  /// point is a single branch on a null pointer, and observed runs must
+  /// stay bit-identical to unobserved ones (observers are read-only).
+  void set_observer(KernelObserver* observer) noexcept {
+    observer_ = observer;
+  }
+
+ private:
+  // The four event handlers mutate the run state through the private
+  // members below; nothing else may.
+  friend class ArrivalProcess;
+  friend class BatchCycleProcess;
+  friend class SecurityFailureProcess;
+  friend class SiteChurnProcess;
+
+  [[nodiscard]] Job& mutable_job(JobId id) noexcept {
+    return jobs_[slot_of_[id & slot_mask_]];
+  }
+  [[nodiscard]] Attempt& mutable_attempt(JobId id) noexcept {
+    return attempts_[slot_of_[id & slot_mask_]];
+  }
+
   /// Admit the next job from the cursor into a slot and fill `arrival`
   /// with its kJobArrival event; false when exhausted. Throws
   /// std::invalid_argument for a job that fails validation. Called by
@@ -249,15 +260,6 @@ class SimKernel {
   /// every completion.
   void retire_completed();
 
-  /// Diagnostic text for runs that end with incomplete jobs: names the
-  /// unfinished count, the first few job ids (with their states; jobs not
-  /// yet admitted report as pending) and the simulation time. Shared by
-  /// the kernel's terminal error and metrics::compute_metrics so both
-  /// failure surfaces stay equally actionable.
-  [[nodiscard]] std::string describe_unfinished(Time sim_time) const;
-
-  /// max over jobs of finish time (0 before run / for empty workloads).
-  [[nodiscard]] Time makespan() const noexcept { return makespan_; }
   void observe_finish(Time time) noexcept {
     makespan_ = makespan_ < time ? time : makespan_;
   }
@@ -296,29 +298,11 @@ class SimKernel {
   /// released/unreleased counters and requests a cycle).
   unsigned revoke_attempt(JobId job, Time now);
 
-  // --- site availability mask (owned by the churn process) ---
-  [[nodiscard]] bool site_usable(std::size_t site) const noexcept {
-    return site_up_[site] != 0;
-  }
   void set_site_up(std::size_t site, bool up) noexcept {
     site_up_[site] = up ? 1 : 0;
   }
-  /// The mask as handed to SchedulerContext (1 = usable).
-  [[nodiscard]] const std::vector<std::uint8_t>& site_mask() const noexcept {
-    return site_up_;
-  }
 
-  // --- observation (null observer = zero-cost fast path) ---
-  /// Attach a passive observer (nullptr detaches). Observers are
-  /// non-owning and must outlive run(). With none attached every notify
-  /// point is a single branch on a null pointer, and observed runs must
-  /// stay bit-identical to unobserved ones (observers are read-only).
-  void set_observer(KernelObserver* observer) noexcept {
-    observer_ = observer;
-  }
-  [[nodiscard]] KernelObserver* observer() const noexcept { return observer_; }
-
-  /// Notification helpers for processes (null-checked, inline).
+  /// Notification helpers for the handlers (null-checked, inline).
   void notify_dispatch(JobId job, SiteId site,
                        const NodeAvailability::Window& window, double exec,
                        unsigned serial) const {
@@ -339,7 +323,6 @@ class SimKernel {
     }
   }
 
- private:
   void validate_admitted(const Job& job) const;
   void reserve_slots(std::size_t slots);
   void grow_slot_ring();
@@ -360,8 +343,6 @@ class SimKernel {
   bool cycle_scheduled_ = false;
   /// 1 + index of the last scheduled batch cycle (see request_cycle).
   std::uint64_t next_cycle_index_ = 0;
-  std::vector<SimProcess*> processes_;
-  SimProcess* routes_[kEventKindCount] = {};
   KernelObserver* observer_ = nullptr;
   bool ran_ = false;
 
@@ -379,6 +360,10 @@ class SimKernel {
   /// level over sites with >= k nodes (-1 when no site fits k).
   std::vector<double> best_security_;
   metrics::RetirementAccumulator retired_;
+
+  // --- churn input, handed to the site-churn handler by run() ---
+  std::vector<SiteChurnParams> churn_;
+  std::vector<SiteOutage> outages_;
 };
 
 }  // namespace gridsched::sim

@@ -2,11 +2,6 @@
 
 namespace gridsched::sim {
 
-std::span<const EventKind> ArrivalProcess::owned_kinds() const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kJobArrival};
-  return kKinds;
-}
-
 void ArrivalProcess::start(SimKernel& kernel) {
   // Admit only the first job; each arrival then admits its successor
   // (handle below), so at most one un-arrived job is ever resident.
@@ -21,7 +16,7 @@ void ArrivalProcess::start(SimKernel& kernel) {
 
 void ArrivalProcess::handle(SimKernel& kernel, const Event& event) {
   kernel.note_arrival();
-  kernel.pending().push_back(event.job);
+  kernel.pending_.push_back(event.job);
   // Pull the next job. Its arrival is >= this one (sorted-stream contract)
   // and its reserved seq is larger, so pushing it now cannot perturb the
   // pop order.

@@ -6,11 +6,6 @@
 
 namespace gridsched::sim {
 
-std::span<const EventKind> BatchCycleProcess::owned_kinds() const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kBatchCycle};
-  return kKinds;
-}
-
 void BatchCycleProcess::handle(SimKernel& kernel, const Event& event) {
   kernel.cycle_fired();
   run_cycle(kernel, event.time);
@@ -18,7 +13,7 @@ void BatchCycleProcess::handle(SimKernel& kernel, const Event& event) {
 }
 
 void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
-  if (kernel.pending().empty()) return;
+  if (kernel.pending_.empty()) return;
 
   // Refresh the persistent context snapshot in place. Site configs and the
   // execution model never change mid-run, so they are captured once; the
@@ -47,7 +42,7 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
          job.secure_only});
   }
 
-  ++kernel.counters().batch_invocations;
+  ++kernel.counters_.batch_invocations;
   // Scheduler wall seconds feed the observer hook, the profile sidecar and
   // the kernel.scheduler_seconds gauge only — never a byte-stable artifact.
   // NOLINTNEXTLINE(GS-R05): wall-clock is observability-only here
@@ -58,7 +53,7 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  kernel.counters().scheduler_seconds += wall;
+  kernel.counters_.scheduler_seconds += wall;
   const std::vector<Assignment>& assignments = assignments_;
   kernel.notify_cycle(now, context.jobs.size(), assignments.size(), wall);
 
@@ -91,14 +86,14 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
           "scheduler violated the fail-stop rule (secure_only job on "
           "risky site)");
     }
-    dispatcher_.dispatch(kernel, job_id, assignment.site, now);
+    failure_.dispatch(kernel, job_id, assignment.site, now);
   }
 
   // Compact dispatched jobs out of the pending queue in place, preserving
   // order (nothing was appended during the cycle, so pending index ==
   // batch index).
   if (!assignments.empty()) {
-    std::vector<JobId>& pending = kernel.pending();
+    std::vector<JobId>& pending = kernel.pending_;
     std::size_t write = 0;
     for (std::size_t i = 0; i < pending.size(); ++i) {
       if (!assigned_[i]) pending[write++] = pending[i];

@@ -1,35 +1,30 @@
-// Periodic batch-scheduling process (the paper's Fig. 1 online model):
+// Periodic batch-scheduling handler (the paper's Fig. 1 online model):
 // every kBatchCycle it snapshots the kernel state into a SchedulerContext
 // (pending batch, committed availability profiles, site mask), invokes the
 // BatchScheduler, validates the returned assignments against the protocol
 // (range, duplicates, node fit, fail-stop rule, site mask) and hands each
-// accepted placement to the DispatchModel.
+// accepted placement to SecurityFailureProcess::dispatch.
 #pragma once
 
 #include "sim/kernel.hpp"
+#include "sim/process/security_failure_process.hpp"
 #include "sim/scheduling.hpp"
 
 namespace gridsched::sim {
 
-class BatchCycleProcess final : public SimProcess {
+class BatchCycleProcess final {
  public:
-  /// `scheduler` and `dispatcher` must outlive the kernel run.
-  BatchCycleProcess(BatchScheduler& scheduler, DispatchModel& dispatcher)
-      : scheduler_(scheduler), dispatcher_(dispatcher) {}
+  /// `scheduler` and `failure` must outlive the kernel run.
+  BatchCycleProcess(BatchScheduler& scheduler, SecurityFailureProcess& failure)
+      : scheduler_(scheduler), failure_(failure) {}
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "batch-cycle";
-  }
-  [[nodiscard]] std::span<const EventKind> owned_kinds()
-      const noexcept override;
-
-  void handle(SimKernel& kernel, const Event& event) override;
+  void handle(SimKernel& kernel, const Event& event);
 
  private:
   void run_cycle(SimKernel& kernel, Time now);
 
   BatchScheduler& scheduler_;
-  DispatchModel& dispatcher_;
+  SecurityFailureProcess& failure_;
   std::size_t idle_cycles_ = 0;
   // Persistent cycle scratch: the context snapshot, assignment list and
   // per-batch-index marks are rebuilt every cycle but keep their heap

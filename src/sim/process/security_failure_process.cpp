@@ -6,16 +6,10 @@
 
 namespace gridsched::sim {
 
-std::span<const EventKind> SecurityFailureProcess::owned_kinds()
-    const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kJobEnd};
-  return kKinds;
-}
-
 void SecurityFailureProcess::dispatch(SimKernel& kernel, JobId job_id,
                                       SiteId site_id, Time now) {
-  Job& job = kernel.job(job_id);
-  GridSite& site = kernel.sites()[site_id];
+  Job& job = kernel.mutable_job(job_id);
+  GridSite& site = kernel.sites_[site_id];
   const EngineConfig& config = kernel.config();
 
   const double exec =
@@ -23,7 +17,7 @@ void SecurityFailureProcess::dispatch(SimKernel& kernel, JobId job_id,
   const NodeAvailability::Window window = site.dispatch(job.nodes, exec, now);
 
   ++job.attempts;
-  Attempt& attempt = kernel.attempt(job_id);
+  Attempt& attempt = kernel.mutable_attempt(job_id);
   attempt = {window, exec, site_id, job.attempts, true};
   kernel.job_started();
   job.state = JobState::kDispatched;
@@ -45,7 +39,7 @@ void SecurityFailureProcess::dispatch(SimKernel& kernel, JobId job_id,
       0x1.0p-53;
   bool will_fail = false;
   if (p_fail > 0.0) {
-    ++kernel.counters().risky_attempts;
+    ++kernel.counters_.risky_attempts;
     job.took_risk = true;
     will_fail = failure_ticket < p_fail;
   }
@@ -79,13 +73,13 @@ void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
   // kernel); an end event for it is necessarily stale — the job completed
   // elsewhere after the attempt this end belongs to was revoked.
   if (kernel.is_retired(event.job)) return;
-  Job& job = kernel.job(event.job);
-  Attempt& attempt = kernel.attempt(event.job);
+  Job& job = kernel.mutable_job(event.job);
+  Attempt& attempt = kernel.mutable_attempt(event.job);
   // A site-down revocation deactivates the attempt (and a re-dispatch bumps
   // the serial) but cannot remove the already-queued end event; drop it.
   if (!attempt.active || attempt.serial != event.attempt) return;
   if (event.is_failure) {
-    ++kernel.counters().failure_events;
+    ++kernel.counters_.failure_events;
     ++job.failures;
     job.secure_only = true;  // fail-stop: never risk again
     kernel.notify_attempt_failure(event.job, attempt.site, event.time);
@@ -97,8 +91,8 @@ void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
     // count both outcomes so a zero-node release is visible instead of
     // silently dropped.
     const unsigned released = kernel.revoke_attempt(event.job, event.time);
-    kernel.counters().released_nodes += released;
-    kernel.counters().unreleased_nodes += job.nodes - released;
+    kernel.counters_.released_nodes += released;
+    kernel.counters_.unreleased_nodes += job.nodes - released;
     kernel.request_cycle(event.time);
   } else {
     kernel.job_stopped();
@@ -106,9 +100,9 @@ void SecurityFailureProcess::handle(SimKernel& kernel, const Event& event) {
     job.state = JobState::kCompleted;
     job.finish = event.time;
     job.final_site = attempt.site;
-    kernel.sites()[attempt.site].account_busy(job.nodes, attempt.exec);
+    kernel.sites_[attempt.site].account_busy(job.nodes, attempt.exec);
     kernel.observe_finish(event.time);
-    ++kernel.counters().completed_jobs;
+    ++kernel.counters_.completed_jobs;
     kernel.notify_job_complete(event.job, attempt.site, event.time);
     // Fold newly-retirable jobs into the metric accumulator and recycle
     // their slots after observers saw the completion — observers address

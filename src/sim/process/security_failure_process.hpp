@@ -1,4 +1,4 @@
-// Security-failure process (paper Eq. 1 + fail-stop rescheduling): turns a
+// Security-failure handler (paper Eq. 1 + fail-stop rescheduling): turns a
 // validated placement into a reservation plus a kJobEnd event (success at
 // the window end, or a failure detection inside it), and handles the ends —
 // completing jobs or releasing the failed reservation's tail and re-queuing
@@ -7,7 +7,7 @@
 // RNG contract (common random numbers, DESIGN.md §5.5): the failure draw
 // for (job, attempt) is a pure hash of (config seed, job id, attempt
 // number), independent of everything the scheduler did before, so
-// identical placements fail identically under every algorithm. The process
+// identical placements fail identically under every algorithm. The handler
 // is therefore stateless.
 #pragma once
 
@@ -15,19 +15,14 @@
 
 namespace gridsched::sim {
 
-class SecurityFailureProcess final : public SimProcess, public DispatchModel {
+class SecurityFailureProcess final {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "security-failure";
-  }
-  [[nodiscard]] std::span<const EventKind> owned_kinds()
-      const noexcept override;
-
   /// Reserve `site` for `job` no earlier than `now`, draw the failure
   /// outcome, push the end event.
-  void dispatch(SimKernel& kernel, JobId job, SiteId site, Time now) override;
+  void dispatch(SimKernel& kernel, JobId job, SiteId site, Time now);
 
-  void handle(SimKernel& kernel, const Event& event) override;
+  /// Complete the job, or release the failed attempt and re-queue it.
+  void handle(SimKernel& kernel, const Event& event);
 };
 
 }  // namespace gridsched::sim

@@ -1,46 +1,14 @@
 #include "sim/process/site_churn_process.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace gridsched::sim {
 
 SiteChurnProcess::SiteChurnProcess(std::vector<SiteChurnParams> params,
+                                   std::vector<SiteOutage> script,
                                    std::uint64_t seed)
-    : params_(std::move(params)), seed_(seed) {}
-
-SiteChurnProcess::SiteChurnProcess(std::vector<SiteOutage> script)
-    : script_(std::move(script)), scripted_(true) {
-  for (const SiteOutage& outage : script_) {
-    if (!(outage.up > outage.down) || outage.down < 0.0) {
-      throw std::invalid_argument(
-          "SiteChurnProcess: outage must satisfy 0 <= down < up");
-    }
-  }
-  // The availability mask is a boolean, so overlapping outages for one
-  // site would let the first kSiteUp re-enable a site a second outage
-  // still holds down. Reject them instead of mis-simulating.
-  std::vector<SiteOutage> sorted = script_;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const SiteOutage& a, const SiteOutage& b) {
-                     if (a.site != b.site) return a.site < b.site;
-                     return a.down < b.down;
-                   });
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i].site == sorted[i - 1].site &&
-        sorted[i].down < sorted[i - 1].up) {
-      throw std::invalid_argument(
-          "SiteChurnProcess: overlapping outages for one site");
-    }
-  }
-}
-
-std::span<const EventKind> SiteChurnProcess::owned_kinds() const noexcept {
-  static constexpr EventKind kKinds[] = {EventKind::kSiteDown,
-                                         EventKind::kSiteUp};
-  return kKinds;
-}
+    : params_(std::move(params)), script_(std::move(script)), seed_(seed) {}
 
 void SiteChurnProcess::push_site_event(SimKernel& kernel, EventKind kind,
                                        SiteId site, Time time) {
@@ -52,7 +20,7 @@ void SiteChurnProcess::push_site_event(SimKernel& kernel, EventKind kind,
 }
 
 void SiteChurnProcess::start(SimKernel& kernel) {
-  if (scripted_) {
+  if (!script_.empty()) {
     // Script order fixes the FIFO tie-break among same-time churn events.
     for (const SiteOutage& outage : script_) {
       push_site_event(kernel, EventKind::kSiteDown, outage.site, outage.down);
@@ -66,20 +34,22 @@ void SiteChurnProcess::start(SimKernel& kernel) {
   for (std::size_t s = 0; s < n_sites; ++s) {
     // Independent per-site streams: adding draws to one site's timeline
     // never perturbs another's, and nothing here shares state with the
-    // failure process's per-(job, attempt) hash draws.
+    // failure handler's per-(job, attempt) hash draws.
     streams_.push_back(util::SeedMix(seed_)
                            .mix("site-churn")
                            .mix(static_cast<std::uint64_t>(s))
                            .rng());
-    if (s < params_.size() && params_[s].churns()) {
+    if (churns(static_cast<SiteId>(s))) {
       push_site_event(kernel, EventKind::kSiteDown, static_cast<SiteId>(s),
                       streams_[s].exponential(1.0 / params_[s].mtbf));
     }
   }
 }
 
-void SiteChurnProcess::take_site_down(SimKernel& kernel, SiteId site_id,
-                                      Time now) {
+void SiteChurnProcess::site_down(SimKernel& kernel, const Event& event) {
+  const SiteId site_id = event.site;
+  const Time now = event.time;
+  ++kernel.counters_.site_down_events;
   kernel.set_site_up(site_id, false);
 
   // Victim attempts, latest stored window end first: a node's free time
@@ -88,10 +58,10 @@ void SiteChurnProcess::take_site_down(SimKernel& kernel, SiteId site_id,
   // The sweep walks the slot table (only live attempts are active) but
   // records job ids — the sort below and the revocations address by id.
   victims_.clear();
-  for (std::size_t j = 0; j < kernel.attempts().size(); ++j) {
-    const Attempt& attempt = kernel.attempts()[j];
+  for (std::size_t j = 0; j < kernel.attempts_.size(); ++j) {
+    const Attempt& attempt = kernel.attempts_[j];
     if (attempt.active && attempt.site == site_id) {
-      victims_.push_back(kernel.jobs()[j].id);
+      victims_.push_back(kernel.jobs_[j].id);
     }
   }
   std::sort(victims_.begin(), victims_.end(), [&](JobId a, JobId b) {
@@ -102,9 +72,9 @@ void SiteChurnProcess::take_site_down(SimKernel& kernel, SiteId site_id,
   });
 
   for (const JobId job_id : victims_) {
-    Job& job = kernel.job(job_id);
+    Job& job = kernel.mutable_job(job_id);
     ++job.interruptions;
-    ++kernel.counters().interrupted_attempts;
+    ++kernel.counters_.interrupted_attempts;
     // Reclaim through the stored window — the same revocation primitive
     // failure releases use. An unreclaimable node here means an earlier
     // revoked reservation was stacked behind a later one we already
@@ -113,30 +83,25 @@ void SiteChurnProcess::take_site_down(SimKernel& kernel, SiteId site_id,
     // the batch queue with its flags intact: a secure_only retry stays
     // secure_only.
     const unsigned released = kernel.revoke_attempt(job_id, now);
-    kernel.counters().churn_released_nodes += released;
-    kernel.counters().churn_unreleased_nodes += job.nodes - released;
+    kernel.counters_.churn_released_nodes += released;
+    kernel.counters_.churn_unreleased_nodes += job.nodes - released;
   }
   if (!victims_.empty()) kernel.request_cycle(now);
+
+  if (churns(site_id)) {
+    push_site_event(kernel, EventKind::kSiteUp, site_id,
+                    now + streams_[site_id].exponential(
+                              1.0 / params_[site_id].mttr));
+  }
 }
 
-void SiteChurnProcess::handle(SimKernel& kernel, const Event& event) {
-  const auto site = static_cast<std::size_t>(event.site);
-  if (event.kind == EventKind::kSiteDown) {
-    ++kernel.counters().site_down_events;
-    take_site_down(kernel, event.site, event.time);
-    if (!scripted_ && site < params_.size() && params_[site].churns()) {
-      push_site_event(kernel, EventKind::kSiteUp, event.site,
-                      event.time +
-                          streams_[site].exponential(1.0 / params_[site].mttr));
-    }
-    return;
-  }
-  ++kernel.counters().site_up_events;
+void SiteChurnProcess::site_up(SimKernel& kernel, const Event& event) {
+  ++kernel.counters_.site_up_events;
   kernel.set_site_up(event.site, true);
-  if (!scripted_ && site < params_.size() && params_[site].churns()) {
+  if (churns(event.site)) {
     push_site_event(kernel, EventKind::kSiteDown, event.site,
-                    event.time +
-                        streams_[site].exponential(1.0 / params_[site].mtbf));
+                    event.time + streams_[event.site].exponential(
+                                     1.0 / params_[event.site].mtbf));
   }
 }
 

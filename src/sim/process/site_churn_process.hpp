@@ -1,4 +1,4 @@
-// Site-churn process: sites alternate between up and down. kSiteDown masks
+// Site-churn handler: sites alternate between up and down. kSiteDown masks
 // the victim out of every subsequent SchedulerContext, revokes its active
 // reservations through the stored Attempt::window (same
 // release-by-stored-window accounting as failure releases) and re-queues
@@ -10,9 +10,11 @@
 // alternation with MTBF/MTTR means, each site on its own
 // SeedMix(seed).mix("site-churn").mix(site) RNG stream so draws are
 // independent of every other stochastic component — or supplied as an
-// explicit outage script (tests, trace-driven what-ifs).
+// explicit outage script (tests, trace-driven what-ifs). SimKernel
+// validates the script and rejects it alongside churning parameters.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/kernel.hpp"
@@ -20,44 +22,35 @@
 
 namespace gridsched::sim {
 
-/// One scripted outage: `site` is down during [down, up).
-struct SiteOutage {
-  SiteId site = kInvalidSite;
-  Time down = 0.0;
-  Time up = 0.0;
-};
-
-class SiteChurnProcess final : public SimProcess {
+class SiteChurnProcess final {
  public:
-  /// Stochastic mode: `params[s]` drives site s (entries beyond the site
-  /// count are ignored; sites without an entry, or with mtbf/mttr <= 0,
-  /// never churn). `seed` is usually EngineConfig::seed.
-  SiteChurnProcess(std::vector<SiteChurnParams> params, std::uint64_t seed);
+  /// `params[s]` drives site s (entries beyond the site count are ignored;
+  /// sites without an entry, or with mtbf/mttr <= 0, never churn);
+  /// `script` lists outages to run instead, in the given order. `seed` is
+  /// EngineConfig::seed.
+  SiteChurnProcess(std::vector<SiteChurnParams> params,
+                   std::vector<SiteOutage> script, std::uint64_t seed);
 
-  /// Scripted mode: exactly the given outages, in the given order. Throws
-  /// std::invalid_argument on a non-positive-length outage.
-  explicit SiteChurnProcess(std::vector<SiteOutage> script);
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "site-churn";
-  }
-  [[nodiscard]] std::span<const EventKind> owned_kinds()
-      const noexcept override;
-
-  void start(SimKernel& kernel) override;
-  void handle(SimKernel& kernel, const Event& event) override;
+  /// Push the script's events, or each churning site's first outage.
+  void start(SimKernel& kernel);
+  /// Mask the site, revoke every active attempt on it and draw its
+  /// recovery.
+  void site_down(SimKernel& kernel, const Event& event);
+  /// Unmask the site and draw its next outage.
+  void site_up(SimKernel& kernel, const Event& event);
 
  private:
   void push_site_event(SimKernel& kernel, EventKind kind, SiteId site,
                        Time time);
-  /// Mask the site and revoke every active attempt on it.
-  void take_site_down(SimKernel& kernel, SiteId site, Time now);
+  /// True when `site` draws its timeline online.
+  [[nodiscard]] bool churns(SiteId site) const noexcept {
+    return site < params_.size() && params_[site].churns();
+  }
 
   std::vector<SiteChurnParams> params_;
+  std::vector<SiteOutage> script_;
   std::uint64_t seed_ = 0;
   std::vector<util::Rng> streams_;  ///< per site, stochastic mode only
-  std::vector<SiteOutage> script_;
-  bool scripted_ = false;
   /// Persistent victim scratch (rebuilt per outage, keeps its capacity so
   /// site-down handling stays heap-free in the steady-state loop).
   std::vector<JobId> victims_;

@@ -26,9 +26,9 @@ struct SiteConfig {
   double security = 1.0;
 };
 
-/// Per-site churn-process parameters (exponential up/down alternation).
-/// A site with either field <= 0 never churns; workloads carry one entry
-/// per site (or none at all) and SiteChurnProcess draws the timeline.
+/// Per-site churn parameters (exponential up/down alternation). A site
+/// with either field <= 0 never churns; workloads carry one entry per site
+/// (or none at all) and the kernel's site-churn handler draws the timeline.
 struct SiteChurnParams {
   double mtbf = 0.0;  ///< mean up-time between failures (seconds)
   double mttr = 0.0;  ///< mean outage duration (seconds)
@@ -36,6 +36,15 @@ struct SiteChurnParams {
   [[nodiscard]] bool churns() const noexcept {
     return mtbf > 0.0 && mttr > 0.0;
   }
+};
+
+/// One scripted outage: `site` is down during [down, up). A script is the
+/// deterministic alternative to SiteChurnParams (tests, trace-driven
+/// what-ifs).
+struct SiteOutage {
+  SiteId site = kInvalidSite;
+  Time down = 0.0;
+  Time up = 0.0;
 };
 
 /// Sorted multiset of per-node free times with reservation operations.

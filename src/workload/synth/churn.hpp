@@ -1,5 +1,5 @@
 // Synthetic site-churn parameter generation: per-site MTBF/MTTR pairs for
-// the exponential up/down churn process (sim::SiteChurnProcess). Site
+// the kernel's exponential up/down churn (sim::SimKernel). Site
 // reliability is heterogeneous in real grids, so each site's means are the
 // configured grid-wide means scaled by an independent uniform factor.
 // Deterministic in (config, rng state) like every other synth component.
@@ -26,7 +26,7 @@ struct ChurnConfig {
   double spread = 0.5;
 };
 
-/// One SiteChurnParams per site. Returns an empty vector (no churn process)
+/// One SiteChurnParams per site. Returns an empty vector (no churn)
 /// when the config is disabled; throws std::invalid_argument on
 /// non-positive means or an out-of-range spread.
 std::vector<sim::SiteChurnParams> churn_params(std::size_t n_sites,

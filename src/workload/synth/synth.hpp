@@ -27,9 +27,9 @@ struct SynthConfig {
   EtcConfig etc;
   ArrivalConfig arrival;
   SecurityProfile security = SecurityProfile::paper();
-  /// Site up/down churn process (disabled by default). When enabled the
-  /// generated workload carries per-site MTBF/MTTR parameters and the
-  /// engine runs a SiteChurnProcess.
+  /// Site up/down churn (disabled by default). When enabled the generated
+  /// workload carries per-site MTBF/MTTR parameters, which SimKernel's
+  /// site-churn handler turns into outage timelines.
   ChurnConfig churn;
   /// Node counts cycled over the sites ({16, 8, 8} -> site 0 has 16 nodes,
   /// sites 1-2 have 8, site 3 has 16 again, ...). Must be non-empty.

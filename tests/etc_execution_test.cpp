@@ -1,7 +1,7 @@
 // Raw-ETC execution model, end to end: sim::ExecModel validation, a
-// hand-checked small instance driven through the engine, and the golden
+// hand-checked small instance driven through the kernel, and the golden
 // property that the synth-{semi,inconsistent}-* scenarios now run the
-// engine / heuristics / GA on the raw generated matrix (no fit_work_speed
+// kernel / heuristics / GA on the raw generated matrix (no fit_work_speed
 // projection anywhere in the execution path).
 #include "sim/exec_model.hpp"
 
@@ -18,7 +18,7 @@
 #include "job_records.hpp"
 #include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 #include "workload/synth/synth.hpp"
 
 namespace gridsched {
@@ -83,17 +83,17 @@ TEST(EtcExecution, EngineRealisesHandCheckedRawEtc) {
   }
   sim::EngineConfig config;
   config.batch_interval = 50.0;
-  sim::Engine engine({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs, config, etc);
+  sim::SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}}, jobs, config, etc);
   sched::MctScheduler scheduler(security::RiskPolicy::secure());
   sim::JobRecords records;
-  engine.set_observer(&records);
-  engine.run(scheduler);
+  kernel.set_observer(&records);
+  kernel.run(scheduler);
 
   EXPECT_EQ(records.jobs()[0].final_site, 0u);
   EXPECT_DOUBLE_EQ(records.jobs()[0].finish, 80.0);
   EXPECT_EQ(records.jobs()[1].final_site, 1u);
   EXPECT_DOUBLE_EQ(records.jobs()[1].finish, 90.0);
-  EXPECT_DOUBLE_EQ(engine.makespan(), 90.0);
+  EXPECT_DOUBLE_EQ(kernel.makespan(), 90.0);
 }
 
 // ---------------------------------------------------- registry scenarios ---
@@ -178,10 +178,10 @@ TEST(EtcExecution, RawEtcChangesHeuristicAndGaMakespans) {
   projected.exec = sim::ExecModel{};  // strip: rank-1 fallback
 
   const auto run_minmin = [&](const workload::Workload& w) {
-    sim::Engine engine(w.sites, w.jobs, scenario.engine, w.exec);
+    sim::SimKernel kernel(w.sites, w.jobs, scenario.engine, w.exec);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
-    engine.run(scheduler);
-    return engine.makespan();
+    kernel.run(scheduler);
+    return kernel.makespan();
   };
   EXPECT_NE(run_minmin(raw), run_minmin(projected));
 
@@ -190,9 +190,9 @@ TEST(EtcExecution, RawEtcChangesHeuristicAndGaMakespans) {
     config.ga.population = 16;
     config.ga.generations = 6;
     core::GaScheduler scheduler(config);
-    sim::Engine engine(w.sites, w.jobs, scenario.engine, w.exec);
-    engine.run(scheduler);
-    return engine.makespan();
+    sim::SimKernel kernel(w.sites, w.jobs, scenario.engine, w.exec);
+    kernel.run(scheduler);
+    return kernel.makespan();
   };
   EXPECT_NE(run_ga(raw), run_ga(projected));
 }

@@ -337,75 +337,78 @@ TEST(LintR05, AllowlistMemberNowAndSuppressionPass) {
                        "// GS-FASTPATH-BEGIN: r\n// GS-FASTPATH-END\n"
                        "double t = problem.now; double u = clock_.now();\n")
                   .empty());
-  EXPECT_TRUE(lint_one("src/sim/engine.cpp",
+  EXPECT_TRUE(lint_one("src/sim/process/batch_cycle_process.cpp",
                        "// NOLINTNEXTLINE(GS-R05): profile sidecar only\n"
                        "auto t = std::chrono::steady_clock::now();\n")
                   .empty());
 }
 
-// ------------------------------------------------ GS-R06 (event routing) ---
+// ----------------------------------------------- GS-R06 (event dispatch) ---
 
 const char* kEventQueueFixture =
     "#pragma once\n"
     "enum class EventKind : std::uint8_t {\n"
     "  kJobArrival,\n"
     "  kJobEnd,\n"
-    "  kKindCount_,\n"
     "};\n";
 
-std::vector<SourceFile> routing_fixture(const std::string& process_body) {
+std::vector<SourceFile> dispatch_fixture(const std::string& kernel_body) {
   return {{"src/sim/event_queue.hpp", kEventQueueFixture},
-          {"src/sim/process/p.cpp", process_body}};
+          {"src/sim/kernel.cpp", kernel_body}};
 }
 
-TEST(LintR06, ExclusiveTotalRoutingPasses) {
-  const auto diags = run_rules(routing_fixture(
-      "std::span<const EventKind> P::owned_kinds() const noexcept {\n"
-      "  static constexpr EventKind k[] = {EventKind::kJobArrival,\n"
-      "                                    EventKind::kJobEnd};\n"
-      "  return k;\n"
+TEST(LintR06, TotalSwitchPasses) {
+  const auto diags = run_rules(dispatch_fixture(
+      "switch (event.kind) {\n"
+      "  case EventKind::kJobArrival:\n"
+      "    arrival.handle(*this, event);\n"
+      "    break;\n"
+      "  case sim::EventKind::kJobEnd:\n"
+      "    failure.handle(*this, event);\n"
+      "    break;\n"
       "}\n"));
   EXPECT_EQ(count_rule(diags, "GS-R06"), 0u);
 }
 
-TEST(LintR06, UnownedKindFiresAtTheEnum) {
-  const auto diags = run_rules(routing_fixture(
-      "std::span<const EventKind> P::owned_kinds() const noexcept {\n"
-      "  static constexpr EventKind k[] = {EventKind::kJobArrival};\n"
-      "  return k;\n"
+TEST(LintR06, MissingCaseFiresAtTheEnum) {
+  const auto diags = run_rules(dispatch_fixture(
+      "switch (event.kind) {\n"
+      "  case EventKind::kJobArrival:\n"
+      "    break;\n"
       "}\n"));
-  // kJobEnd (line 4 of the enum header) has no owner.
+  // kJobEnd (line 4 of the enum header) has no case label.
+  EXPECT_EQ(count_rule(diags, "GS-R06"), 1u);
   EXPECT_TRUE(has(diags, "GS-R06", "src/sim/event_queue.hpp", 4));
 }
 
-TEST(LintR06, DoublyOwnedKindFiresAtBothOwners) {
-  const auto diags = run_rules(
-      {{"src/sim/event_queue.hpp", kEventQueueFixture},
-       {"src/sim/process/p.cpp",
-        "std::span<const EventKind> P::owned_kinds() const noexcept {\n"
-        "  static constexpr EventKind k[] = {EventKind::kJobArrival,\n"
-        "                                    EventKind::kJobEnd};\n"
-        "  return k;\n"
-        "}\n"},
-       {"src/sim/process/q.cpp",
-        "std::span<const EventKind> Q::owned_kinds() const noexcept {\n"
-        "  static constexpr EventKind k[] = {EventKind::kJobEnd};\n"
-        "  return k;\n"
-        "}\n"}});
+TEST(LintR06, DuplicateCaseFiresAtBothLabels) {
+  const auto diags = run_rules(dispatch_fixture(
+      "switch (event.kind) {\n"
+      "  case EventKind::kJobArrival:\n"
+      "    break;\n"
+      "  case EventKind::kJobEnd:\n"
+      "    break;\n"
+      "}\n"
+      "switch (other.kind) {\n"
+      "  case EventKind::kJobEnd:\n"
+      "    break;\n"
+      "}\n"));
   EXPECT_EQ(count_rule(diags, "GS-R06"), 2u);
-  EXPECT_TRUE(has(diags, "GS-R06", "src/sim/process/p.cpp", 3));
-  EXPECT_TRUE(has(diags, "GS-R06", "src/sim/process/q.cpp", 2));
+  EXPECT_TRUE(has(diags, "GS-R06", "src/sim/kernel.cpp", 4));
+  EXPECT_TRUE(has(diags, "GS-R06", "src/sim/kernel.cpp", 8));
 }
 
-TEST(LintR06, DeclarationsWithoutBodiesAreIgnored) {
-  const auto diags = run_rules(routing_fixture(
-      "std::span<const EventKind> owned_kinds() const noexcept override;\n"
-      "std::span<const EventKind> P::owned_kinds() const noexcept {\n"
-      "  static constexpr EventKind k[] = {EventKind::kJobArrival,\n"
-      "                                    EventKind::kJobEnd};\n"
-      "  return k;\n"
+TEST(LintR06, UnknownKindFires) {
+  const auto diags = run_rules(dispatch_fixture(
+      "switch (event.kind) {\n"
+      "  case EventKind::kJobArrival:\n"
+      "  case EventKind::kJobEnd:\n"
+      "    break;\n"
+      "  case EventKind::kMigrate:\n"
+      "    break;\n"
       "}\n"));
-  EXPECT_EQ(count_rule(diags, "GS-R06"), 0u);
+  EXPECT_EQ(count_rule(diags, "GS-R06"), 1u);
+  EXPECT_TRUE(has(diags, "GS-R06", "src/sim/kernel.cpp", 5));
 }
 
 // ------------------------------------------------ GS-R07 (strict parse) ----

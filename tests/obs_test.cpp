@@ -22,11 +22,8 @@
 #include "obs/proc_stats.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_event.hpp"
+#include "sim/kernel.hpp"
 #include "sim/observer.hpp"
-#include "sim/process/arrival_process.hpp"
-#include "sim/process/batch_cycle_process.hpp"
-#include "sim/process/security_failure_process.hpp"
-#include "sim/process/site_churn_process.hpp"
 #include "util/log.hpp"
 
 namespace gridsched {
@@ -103,16 +100,9 @@ class RecordingObserver final : public sim::KernelObserver {
 
 /// One 1-node site, one job running [50, 150), outage [100, 120): the
 /// timeline sim_churn_test hand-checks, here observed from the outside.
-void run_churn_timeline(SimKernel& kernel, sim::BatchScheduler& scheduler) {
-  sim::ArrivalProcess arrival;
-  sim::SecurityFailureProcess failure;
-  sim::BatchCycleProcess batch(scheduler, failure);
-  sim::SiteChurnProcess churn({{0, 100.0, 120.0}});
-  kernel.add_process(arrival);
-  kernel.add_process(batch);
-  kernel.add_process(failure);
-  kernel.add_process(churn);
-  kernel.run();
+SimKernel churn_timeline_kernel() {
+  return SimKernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
+                   quick_config(50.0), {}, {}, {{0, 100.0, 120.0}});
 }
 
 // ------------------------------------------------------------- registry ---
@@ -166,12 +156,11 @@ TEST(MetricRegistry, KindCollisionsAndBoundsMismatchesThrow) {
 // ------------------------------------------------------------- observer ---
 
 TEST(KernelObserver, ChurnTimelineCallbackOrder) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   RecordingObserver recorder;
   kernel.set_observer(&recorder);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   const std::vector<std::string> expected = {
       "start",
@@ -274,12 +263,11 @@ TEST(SimTraceRecorder, TraceIsByteDeterministic) {
 }
 
 TEST(SimTraceRecorder, ChurnTimelineSpans) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   obs::SimTraceRecorder trace;
   kernel.set_observer(&trace);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   const std::string rendered = trace.render();
   // The interrupted first attempt, the outage span, the churn instants
@@ -311,12 +299,11 @@ TEST(TimeSeriesProbe, ChurnTimelineSamplesAreHandCheckable) {
   // reflects the state after all events strictly before it: at t=120 the
   // site-up event (at exactly 120) has not been applied yet, so the site
   // still reads down; the 250 row is the terminal makespan sample.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   obs::TimeSeriesProbe probe(60.0);
   kernel.set_observer(&probe);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   EXPECT_EQ(render_timeseries_csv(probe.series()),
             "t,ready,in_flight,sites_up,completed,failures,interruptions,"
@@ -483,11 +470,10 @@ TEST(KernelObserverTee, ForwardsToEveryObserverAndIgnoresNull) {
   tee.add(&second);
   EXPECT_FALSE(tee.empty());
 
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = churn_timeline_kernel();
   PinScheduler scheduler;
   kernel.set_observer(&tee);
-  run_churn_timeline(kernel, scheduler);
+  kernel.run(scheduler);
 
   EXPECT_FALSE(first.lines.empty());
   EXPECT_EQ(first.lines, second.lines);

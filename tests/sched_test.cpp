@@ -45,7 +45,7 @@ sim::SchedulerContext make_context(std::vector<sim::SiteConfig> sites,
 TEST(EtcMatrix, ComputesWorkOverSpeed) {
   const auto context = make_context({{0, 1, 2.0, 1.0}, {1, 1, 4.0, 1.0}},
                                     {batch_job(100.0)});
-  const EtcMatrix etc(context.jobs, context.sites);
+  const EtcMatrix etc(context);  // no matrix attached -> rank-1
   EXPECT_DOUBLE_EQ(etc.exec(0, 0), 50.0);
   EXPECT_DOUBLE_EQ(etc.exec(0, 1), 25.0);
   EXPECT_EQ(etc.jobs(), 1u);
@@ -55,14 +55,14 @@ TEST(EtcMatrix, ComputesWorkOverSpeed) {
 TEST(EtcMatrix, InfeasibleWhenJobDoesNotFit) {
   const auto context = make_context({{0, 2, 1.0, 1.0}},
                                     {batch_job(10.0, 4)});
-  const EtcMatrix etc(context.jobs, context.sites);
+  const EtcMatrix etc(context);
   EXPECT_TRUE(std::isinf(etc.exec(0, 0)));
 }
 
 TEST(EtcMatrix, FlattenedLayoutIsRowMajor) {
   const auto context = make_context({{0, 1, 1.0, 1.0}, {1, 1, 2.0, 1.0}},
                                     {batch_job(2.0), batch_job(4.0)});
-  const EtcMatrix etc(context.jobs, context.sites);
+  const EtcMatrix etc(context);
   const auto& flat = etc.flattened();
   ASSERT_EQ(flat.size(), 4u);
   EXPECT_DOUBLE_EQ(flat[0], 2.0);  // job 0 site 0
@@ -80,14 +80,6 @@ TEST(EtcMatrix, ContextConstructorUsesTheRawExecModel) {
   EXPECT_DOUBLE_EQ(etc.exec(1, 0), 11.0);
   // Node fit still decides feasibility, whatever the matrix says.
   EXPECT_TRUE(std::isinf(etc.exec(1, 1)));
-}
-
-TEST(EtcMatrix, ContextConstructorFallsBackToWorkOverSpeed) {
-  const auto context = make_context({{0, 1, 2.0, 1.0}, {1, 1, 4.0, 1.0}},
-                                    {batch_job(100.0)});
-  const EtcMatrix etc(context);  // no matrix attached -> rank-1
-  EXPECT_DOUBLE_EQ(etc.exec(0, 0), 50.0);
-  EXPECT_DOUBLE_EQ(etc.exec(0, 1), 25.0);
 }
 
 // --------------------------------------------------------- risk filter ---
@@ -115,7 +107,7 @@ TEST(RiskFilter, AdmissibleSitesOrdered) {
   const auto context = make_context(
       {{0, 1, 1.0, 0.9}, {1, 1, 1.0, 0.4}, {2, 1, 1.0, 0.95}},
       {batch_job(1.0, 1, 0.85)});
-  const auto sites = admissible_sites(context.jobs[0], context.sites,
+  const auto sites = admissible_sites(context, context.jobs[0],
                                       security::RiskPolicy::secure());
   EXPECT_EQ(sites, (std::vector<sim::SiteId>{0, 2}));
 }

@@ -1,7 +1,7 @@
-// Site-churn process + pluggable-kernel tests: hand-checked mid-run
-// revocation timelines (scripted outages composed directly onto a
-// SimKernel), availability-mask visibility, protocol enforcement, counter
-// accounting and end-to-end determinism of the stochastic churn process.
+// Site-churn tests: hand-checked mid-run revocation timelines (scripted
+// outages handed to the SimKernel constructor), availability-mask
+// visibility, protocol enforcement, counter accounting, outage-script
+// validation and end-to-end determinism of stochastic churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +11,7 @@
 #include "exp/scenario_registry.hpp"
 #include "job_records.hpp"
 #include "sched/heuristics.hpp"
-#include "sim/engine.hpp"
-#include "sim/process/arrival_process.hpp"
-#include "sim/process/batch_cycle_process.hpp"
-#include "sim/process/security_failure_process.hpp"
-#include "sim/process/site_churn_process.hpp"
+#include "sim/kernel.hpp"
 
 namespace gridsched::sim {
 namespace {
@@ -81,22 +77,19 @@ class MaskProbeScheduler final : public BatchScheduler {
   BatchScheduler& inner_;
 };
 
-/// Run a kernel with the standard process set plus a scripted churn
-/// timeline — the composition the Engine facade cannot express — and
-/// return every job's final record.
-std::vector<Job> run_with_outages(SimKernel& kernel, BatchScheduler& scheduler,
-                                  std::vector<SiteOutage> outages) {
-  ArrivalProcess arrival;
-  SecurityFailureProcess failure;
-  BatchCycleProcess batch(scheduler, failure);
-  SiteChurnProcess churn(std::move(outages));
-  kernel.add_process(arrival);
-  kernel.add_process(batch);
-  kernel.add_process(failure);
-  kernel.add_process(churn);
+/// A kernel that runs `jobs` on `sites` under the scripted `outages`.
+SimKernel scripted_kernel(std::vector<SiteConfig> sites, std::vector<Job> jobs,
+                          EngineConfig config,
+                          std::vector<SiteOutage> outages) {
+  return SimKernel(std::move(sites), std::move(jobs), config, {}, {},
+                   std::move(outages));
+}
+
+/// Run `kernel` under `scheduler` and return every job's final record.
+std::vector<Job> run_recorded(SimKernel& kernel, BatchScheduler& scheduler) {
   JobRecords records;
   kernel.set_observer(&records);
-  kernel.run();
+  kernel.run(scheduler);
   kernel.set_observer(nullptr);
   return records.jobs();
 }
@@ -107,10 +100,11 @@ TEST(SiteChurn, HandCheckedMidRunRevocation) {
   // released back to t=100), the job re-enters the queue, the t=100 cycle
   // sees a fully masked grid and assigns nothing, and the t=150 cycle
   // re-dispatches for a [150, 250) run.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = scripted_kernel({{0, 1, 1.0, 1.0}},
+                                     {make_job(0.0, 100.0, 1, 0.5)},
+                                     quick_config(50.0), {{0, 100.0, 120.0}});
   ScriptedScheduler scheduler({0});
-  const Job job = run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}})[0];
+  const Job job = run_recorded(kernel, scheduler)[0];
 
   EXPECT_EQ(job.state, JobState::kCompleted);
   EXPECT_EQ(job.attempts, 2u);
@@ -142,12 +136,12 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
   // tail is reclaimable (released) while A's window end no longer matches
   // — surfaced as an unreleased node, exactly like a failure release that
   // lost the race with a later reservation.
-  SimKernel kernel({{0, 1, 1.0, 1.0}},
-                   {make_job(0.0, 100.0, 1, 0.5), make_job(0.0, 10.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = scripted_kernel(
+      {{0, 1, 1.0, 1.0}},
+      {make_job(0.0, 100.0, 1, 0.5), make_job(0.0, 10.0, 1, 0.5)},
+      quick_config(50.0), {{0, 100.0, 120.0}});
   ScriptedScheduler scheduler({0});
-  const std::vector<Job> jobs =
-      run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}});
+  const std::vector<Job> jobs = run_recorded(kernel, scheduler);
 
   const Job& a = jobs[0];
   const Job& b = jobs[1];
@@ -165,11 +159,12 @@ TEST(SiteChurn, RevocationReleasesStackedReservationsLatestFirst) {
 }
 
 TEST(SiteChurn, SchedulersSeeTheAvailabilityMask) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = scripted_kernel({{0, 1, 1.0, 1.0}},
+                                     {make_job(0.0, 100.0, 1, 0.5)},
+                                     quick_config(50.0), {{0, 100.0, 120.0}});
   ScriptedScheduler inner({0});
   MaskProbeScheduler probe(inner);
-  run_with_outages(kernel, probe, {{0, 100.0, 120.0}});
+  kernel.run(probe);
 
   ASSERT_EQ(probe.masks.size(), 3u);
   EXPECT_EQ(probe.masks[0], std::vector<std::uint8_t>({1}));  // t=50
@@ -180,12 +175,12 @@ TEST(SiteChurn, SchedulersSeeTheAvailabilityMask) {
 TEST(SiteChurn, AssigningToADownSiteIsAProtocolViolation) {
   // The scripted scheduler ignores the mask and keeps targeting site 0
   // while it is down at the t=100 cycle; the kernel must reject that.
-  SimKernel kernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
-                   {make_job(0.0, 100.0, 1, 0.5), make_job(60.0, 10.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = scripted_kernel(
+      {{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
+      {make_job(0.0, 100.0, 1, 0.5), make_job(60.0, 10.0, 1, 0.5)},
+      quick_config(50.0), {{0, 90.0, 500.0}});
   ScriptedScheduler scheduler({0}, /*respect_mask=*/false);
-  EXPECT_THROW(run_with_outages(kernel, scheduler, {{0, 90.0, 500.0}}),
-               std::logic_error);
+  EXPECT_THROW(kernel.run(scheduler), std::logic_error);
 }
 
 TEST(SiteChurn, InterruptedSecureOnlyRetryStaysSecureOnly) {
@@ -196,10 +191,11 @@ TEST(SiteChurn, InterruptedSecureOnlyRetryStaysSecureOnly) {
   EngineConfig config = quick_config(50.0);
   config.lambda = 1000.0;
   config.detection = FailureDetection::kImmediate;
-  SimKernel kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
-                   {make_job(0.0, 100.0, 1, 0.9)}, config);
+  SimKernel kernel =
+      scripted_kernel({{0, 1, 1.0, 0.4}, {1, 1, 1.0, 1.0}},
+                      {make_job(0.0, 100.0, 1, 0.9)}, config, {{1, 150.0, 160.0}});
   ScriptedScheduler scheduler({0, 1, 1});
-  const Job job = run_with_outages(kernel, scheduler, {{1, 150.0, 160.0}})[0];
+  const Job job = run_recorded(kernel, scheduler)[0];
 
   EXPECT_EQ(job.failures, 1u);
   EXPECT_EQ(job.interruptions, 1u);
@@ -215,51 +211,78 @@ TEST(SiteChurn, StaleEndEventOfARevokedAttemptIsDropped) {
   // The revoked attempt's kJobEnd (t=150) pops after the job has already
   // been re-dispatched at the t=150 cycle with a new attempt serial; the
   // stale end must not complete (or double-complete) the job.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 100.0, 1, 0.5)},
-                   quick_config(50.0));
+  SimKernel kernel = scripted_kernel({{0, 1, 1.0, 1.0}},
+                                     {make_job(0.0, 100.0, 1, 0.5)},
+                                     quick_config(50.0), {{0, 100.0, 120.0}});
   ScriptedScheduler scheduler({0});
-  const Job job = run_with_outages(kernel, scheduler, {{0, 100.0, 120.0}})[0];
+  const Job job = run_recorded(kernel, scheduler)[0];
   EXPECT_EQ(kernel.counters().completed_jobs, 1u);
   EXPECT_EQ(job.attempts, 2u);
   EXPECT_DOUBLE_EQ(job.finish, 250.0);
 }
 
+/// Construct a two-site kernel with one job under `outages`.
+void construct_with(std::vector<SiteOutage> outages,
+                    std::vector<SiteChurnParams> churn = {}) {
+  SimKernel({{0, 1, 1.0, 1.0}, {1, 1, 1.0, 1.0}},
+            {make_job(0.0, 10.0, 1, 0.5)}, quick_config(50.0), {},
+            std::move(churn), std::move(outages));
+}
+
 TEST(SiteChurn, ScriptedOutageValidation) {
-  EXPECT_THROW(SiteChurnProcess({SiteOutage{0, 100.0, 100.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(SiteChurnProcess({SiteOutage{0, -1.0, 10.0}}),
-               std::invalid_argument);
+  EXPECT_THROW(construct_with({{0, 100.0, 100.0}}), std::invalid_argument);
+  EXPECT_THROW(construct_with({{0, -1.0, 10.0}}), std::invalid_argument);
   // Overlapping outages for one site are rejected (a boolean mask cannot
   // represent nested downtime); the same windows on distinct sites are
   // fine, as are back-to-back outages sharing an endpoint.
-  EXPECT_THROW(
-      SiteChurnProcess({SiteOutage{0, 10.0, 100.0}, SiteOutage{0, 50.0,
-                                                               200.0}}),
-      std::invalid_argument);
-  EXPECT_NO_THROW(SiteChurnProcess(
-      {SiteOutage{0, 10.0, 100.0}, SiteOutage{1, 50.0, 200.0}}));
-  EXPECT_NO_THROW(SiteChurnProcess(
-      {SiteOutage{0, 10.0, 100.0}, SiteOutage{0, 100.0, 200.0}}));
+  EXPECT_THROW(construct_with({{0, 10.0, 100.0}, {0, 50.0, 200.0}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(construct_with({{0, 10.0, 100.0}, {1, 50.0, 200.0}}));
+  EXPECT_NO_THROW(construct_with({{0, 10.0, 100.0}, {0, 100.0, 200.0}}));
 }
 
-TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
+TEST(SiteChurn, OutageOnASiteTheGridLacksIsRejected) {
+  // The site-down handler indexes the availability mask by the outage's
+  // site, so an out-of-range site (the default kInvalidSite included)
+  // must fail construction instead of writing past the mask.
+  EXPECT_THROW(construct_with({{2, 5.0, 20.0}}), std::invalid_argument);
+  EXPECT_THROW(construct_with({{7, 5.0, 20.0}}), std::invalid_argument);
+  SiteOutage unset;
+  unset.down = 5.0;
+  unset.up = 20.0;
+  EXPECT_THROW(construct_with({unset}), std::invalid_argument);
+  EXPECT_NO_THROW(construct_with({{1, 5.0, 20.0}}));
+}
+
+TEST(SiteChurn, ScriptAndChurningParamsAreExclusive) {
+  // A script replaces the stochastic timelines; given both, the kernel
+  // could not tell which one drives the mask.
+  const std::vector<SiteChurnParams> churning = {{100.0, 10.0}};
+  EXPECT_THROW(construct_with({{0, 5.0, 20.0}}, churning),
+               std::invalid_argument);
+  // Parameters that churn nowhere do not conflict with a script.
+  EXPECT_NO_THROW(construct_with({{0, 5.0, 20.0}}, {{0.0, 0.0}}));
+  EXPECT_NO_THROW(construct_with({}, churning));
+}
+
+TEST(SiteChurn, KernelRunsStochasticChurnDeterministically) {
   // Same workload + seed => bit-identical outcome, including every churn
-  // counter; a different engine seed draws a different churn timeline.
+  // counter; a different kernel seed draws a different churn timeline.
   auto run = [](std::uint64_t engine_seed) {
     exp::Scenario scenario = exp::make_scenario("synth-churn-hi", 150);
     workload::Workload workload = exp::make_workload(scenario, 7);
     EXPECT_EQ(workload.churn.size(), workload.sites.size());
     sim::EngineConfig config = scenario.engine;
     config.seed = engine_seed;
-    Engine engine(workload.sites, workload.jobs, config, workload.exec,
-                  workload.churn);
+    SimKernel kernel(workload.sites, workload.jobs, config, workload.exec,
+                     workload.churn);
     sched::MinMinScheduler scheduler(security::RiskPolicy::risky());
     JobRecords records;
-    engine.set_observer(&records);
-    engine.run(scheduler);
+    kernel.set_observer(&records);
+    kernel.run(scheduler);
     std::vector<double> finishes;
     for (const Job& job : records.jobs()) finishes.push_back(job.finish);
-    return std::pair(finishes, engine.counters().site_down_events);
+    return std::pair(finishes, kernel.counters().site_down_events);
   };
   const auto a = run(11);
   const auto b = run(11);
@@ -272,33 +295,14 @@ TEST(SiteChurn, EngineFacadeRunsStochasticChurnDeterministically) {
 TEST(SiteChurn, ChurnFreeWorkloadNeverRegistersTheProcess) {
   // An all-zero churn vector must behave exactly like no churn vector.
   std::vector<SiteChurnParams> no_churn(1);
-  Engine engine({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                quick_config(50.0), {}, no_churn);
+  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
+                   quick_config(50.0), {}, no_churn);
   ScriptedScheduler scheduler({0});
   JobRecords records;
-  engine.set_observer(&records);
-  engine.run(scheduler);
-  EXPECT_EQ(engine.counters().site_down_events, 0u);
+  kernel.set_observer(&records);
+  kernel.run(scheduler);
+  EXPECT_EQ(kernel.counters().site_down_events, 0u);
   EXPECT_DOUBLE_EQ(records.jobs()[0].finish, 60.0);
-}
-
-TEST(SimKernel, RejectsDoubleRoutingOfAnEventKind) {
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, std::vector<Job>{},
-                   quick_config(50.0));
-  ArrivalProcess a;
-  ArrivalProcess b;
-  kernel.add_process(a);
-  EXPECT_THROW(kernel.add_process(b), std::logic_error);
-}
-
-TEST(SimKernel, UnroutedEventKindThrows) {
-  // A kernel missing the batch/failure processes cannot make progress on
-  // a job arrival's requested cycle.
-  SimKernel kernel({{0, 1, 1.0, 1.0}}, {make_job(0.0, 10.0, 1, 0.5)},
-                   quick_config(50.0));
-  ArrivalProcess arrival;
-  kernel.add_process(arrival);
-  EXPECT_THROW(kernel.run(), std::logic_error);
 }
 
 }  // namespace

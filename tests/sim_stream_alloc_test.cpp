@@ -19,7 +19,7 @@
 #include "metrics/metrics.hpp"
 #include "sched/heuristics.hpp"
 #include "security/security.hpp"
-#include "sim/engine.hpp"
+#include "sim/kernel.hpp"
 #include "sim/scheduling.hpp"
 #include "workload/synth/stream_gen.hpp"
 
@@ -122,15 +122,15 @@ void expect_allocation_free_stream(sim::BatchScheduler& scheduler,
   sim::EngineConfig engine_config;
   engine_config.batch_interval = 100.0;
   engine_config.seed = 4;
-  sim::Engine engine(std::move(stream.sites), std::move(stream.jobs),
-                     engine_config, std::move(stream.exec),
-                     std::move(stream.churn));
+  sim::SimKernel kernel(std::move(stream.sites), std::move(stream.jobs),
+                        engine_config, std::move(stream.exec),
+                        std::move(stream.churn));
   AllocSampleObserver probe;
-  engine.set_observer(&probe);
+  kernel.set_observer(&probe);
   SchedulerAllocProbe counted(scheduler);
-  engine.run(counted);
+  kernel.run(counted);
 
-  EXPECT_EQ(engine.kernel().retired_jobs(), config.n_jobs);
+  EXPECT_EQ(kernel.retired_jobs(), config.n_jobs);
   ASSERT_GE(probe.samples.size(), 16u)
       << "run produced too few batch cycles to observe a steady state";
 
@@ -210,12 +210,12 @@ TEST(StreamKernelAlloc, JobVectorSteadyStateIsAllocationFreeToo) {
   sim::EngineConfig engine_config;
   engine_config.batch_interval = 100.0;
   engine_config.seed = 4;
-  sim::Engine engine(drained.sites, drained.jobs, engine_config, drained.exec,
-                     drained.churn);
+  sim::SimKernel kernel(drained.sites, drained.jobs, engine_config, drained.exec,
+                        drained.churn);
   AllocSampleObserver probe;
-  engine.set_observer(&probe);
+  kernel.set_observer(&probe);
   GreedyIntoScheduler scheduler;
-  engine.run(scheduler);
+  kernel.run(scheduler);
 
   ASSERT_GE(probe.samples.size(), 16u);
   const std::size_t half = probe.samples.size() / 2;

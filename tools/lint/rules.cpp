@@ -403,10 +403,12 @@ void rule_r05(const std::vector<LintFile>& files,
   }
 }
 
-/// GS-R06 — every EventKind enumerator is owned by exactly one SimProcess
-/// (ROADMAP "Kernel invariants": exclusive event routing).
+/// GS-R06 — every EventKind enumerator is named by exactly one
+/// `case EventKind::…` label in src/sim/kernel.cpp (ROADMAP "Kernel
+/// invariants": one total dispatch switch).
 void rule_r06(const std::vector<LintFile>& files,
               std::vector<Diagnostic>& out) {
+  constexpr std::string_view kDispatchFile = "src/sim/kernel.cpp";
   const LintFile* enum_file = nullptr;
   struct Enumerator {
     std::string name;
@@ -425,8 +427,7 @@ void rule_r06(const std::vector<LintFile>& files,
       std::size_t j = i + 3;
       while (j < tokens.size() && !is_punct(tokens[j], "{")) ++j;
       for (++j; j < tokens.size() && !is_punct(tokens[j], "}"); ++j) {
-        if (tokens[j].kind == TokenKind::kIdentifier &&
-            !ends_with(tokens[j].text, "_")) {  // skip the sentinel
+        if (tokens[j].kind == TokenKind::kIdentifier) {
           kinds.push_back({tokens[j].text, tokens[j].line});
         }
       }
@@ -435,62 +436,51 @@ void rule_r06(const std::vector<LintFile>& files,
   }
   if (enum_file == nullptr) return;  // fixture sets without the kernel
 
-  struct Owner {
+  struct Label {
     const LintFile* file;
     std::size_t line;
   };
-  std::map<std::string, std::vector<Owner>> owners;
+  std::map<std::string, std::vector<Label>> labels;
   for (const LintFile& f : files) {
-    if (!starts_with(f.src->path, "src/sim/process/") ||
-        !ends_with(f.src->path, ".cpp")) {
-      continue;
-    }
+    if (f.src->path != kDispatchFile) continue;
     const auto& tokens = toks(f);
     for (std::size_t i = 0; i < tokens.size(); ++i) {
-      if (!is_ident(tokens[i], "owned_kinds")) continue;
-      std::size_t j = i + 1;
-      while (j < tokens.size() && !is_punct(tokens[j], "{") &&
-             !is_punct(tokens[j], ";")) {
-        ++j;
-      }
-      if (j >= tokens.size() || is_punct(tokens[j], ";")) continue;
-      std::size_t depth = 1;
-      for (++j; j < tokens.size() && depth > 0; ++j) {
-        if (is_punct(tokens[j], "{")) ++depth;
-        if (is_punct(tokens[j], "}")) --depth;
+      if (!is_ident(tokens[i], "case")) continue;
+      // The label runs to its ':' ("::" is a token of its own).
+      for (std::size_t j = i + 1; j < tokens.size(); ++j) {
+        if (is_punct(tokens[j], ":")) break;
         if (j + 2 < tokens.size() && is_ident(tokens[j], "EventKind") &&
             is_punct(tokens[j + 1], "::") &&
             tokens[j + 2].kind == TokenKind::kIdentifier) {
-          owners[tokens[j + 2].text].push_back({&f, tokens[j + 2].line});
+          labels[tokens[j + 2].text].push_back({&f, tokens[j + 2].line});
+          break;
         }
       }
-      i = j;
     }
   }
   for (const Enumerator& kind : kinds) {
-    const auto it = owners.find(kind.name);
-    const std::size_t n = it == owners.end() ? 0 : it->second.size();
+    const auto it = labels.find(kind.name);
+    const std::size_t n = it == labels.end() ? 0 : it->second.size();
     if (n == 0) {
       diag(out, *enum_file, kind.line, "GS-R06",
-           "EventKind::" + kind.name +
-               " is owned by no SimProcess (owned_kinds) — routing is "
-               "exclusive and total");
+           "EventKind::" + kind.name + " has no case label in " +
+               std::string(kDispatchFile) +
+               " — the kernel's dispatch switch must be total");
     } else if (n > 1) {
-      for (const Owner& owner : it->second) {
-        diag(out, *owner.file, owner.line, "GS-R06",
-             "EventKind::" + kind.name + " is owned by " +
-                 std::to_string(n) +
-                 " SimProcesses — routing must be exclusive");
+      for (const Label& label : it->second) {
+        diag(out, *label.file, label.line, "GS-R06",
+             "EventKind::" + kind.name + " has " + std::to_string(n) +
+                 " case labels — each kind has exactly one handler");
       }
     }
   }
-  for (const auto& [name, sites] : owners) {
+  for (const auto& [name, sites] : labels) {
     const auto known = std::find_if(
         kinds.begin(), kinds.end(),
         [&name = name](const Enumerator& k) { return k.name == name; });
     if (known == kinds.end()) {
       diag(out, *sites[0].file, sites[0].line, "GS-R06",
-           "owned_kinds names unknown EventKind::" + name);
+           "case label names unknown EventKind::" + name);
     }
   }
 }
@@ -638,7 +628,8 @@ const std::vector<RuleInfo>& rule_infos() {
       {"GS-R04", "SplitMix64 stays pinned; SeedMix domains unique per "
                  "subsystem"},
       {"GS-R05", "no rand/random_device/::now() outside obs/ allowlist"},
-      {"GS-R06", "every EventKind is owned by exactly one SimProcess"},
+      {"GS-R06", "every EventKind has exactly one case label in the "
+                 "kernel's dispatch switch"},
       {"GS-R07", "JSON spec parsers reading objects must check_keys"},
       {"GS-R08", "#pragma once headers; sources include own header first"},
   };
