@@ -32,12 +32,12 @@ void decode_reference(const GaProblem& problem, const Chromosome& chromosome,
   if (chromosome.size() != problem.n_jobs()) {
     throw std::invalid_argument("decode: chromosome length mismatch");
   }
-  std::vector<sim::NodeAvailability> avail = problem.avail;
+  std::vector<sim::NodeAvailability> avail = problem.context.avail;
   for (const std::size_t j : decode_order_reference(problem, chromosome)) {
     const sim::SiteId s = chromosome[j];
     const double exec = problem.exec_at(j, s);
-    const auto window =
-        avail[s].reserve(problem.jobs[j].nodes, exec, problem.now);
+    const auto window = avail[s].reserve(problem.context.jobs[j].nodes, exec,
+                                         problem.context.now);
     consume(j, window.end + risk_penalty * problem.pfail_at(j, s) * exec);
   }
 }
@@ -47,12 +47,12 @@ void decode_reference(const GaProblem& problem, const Chromosome& chromosome,
 double decode_fitness_reference(const GaProblem& problem,
                                 const Chromosome& chromosome,
                                 const FitnessParams& params) {
-  double worst = problem.now;
+  double worst = problem.context.now;
   double sum = 0.0;
   decode_reference(problem, chromosome, params.risk_penalty_weight,
                    [&](std::size_t, double expected) {
                      worst = std::max(worst, expected);
-                     sum += expected - problem.now;
+                     sum += expected - problem.context.now;
                    });
   const double mean =
       chromosome.empty() ? 0.0 : sum / static_cast<double>(chromosome.size());
@@ -61,7 +61,7 @@ double decode_fitness_reference(const GaProblem& problem,
 
 double batch_makespan_reference(const GaProblem& problem,
                                 const Chromosome& chromosome) {
-  double makespan = problem.now;
+  double makespan = problem.context.now;
   decode_reference(problem, chromosome, 0.0,
                    [&](std::size_t, double completion) {
                      makespan = std::max(makespan, completion);

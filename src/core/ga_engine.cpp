@@ -43,12 +43,9 @@ class FitnessEvaluator {
                    util::ThreadPool* pool)
       : problem_(problem), params_(params), pool_(pool),
         scratches_(pool != nullptr ? pool->size() : 1) {
-    // Rank/cell tables are built once and shared; per-chunk scratches only
-    // size their own mutable buffers.
-    scratches_.front().bind(problem);
-    for (std::size_t i = 1; i < scratches_.size(); ++i) {
-      scratches_[i].bind_from(scratches_.front());
-    }
+    // Every chunk reads the problem's const tables; a scratch only holds
+    // its own mutable buffers.
+    for (DecodeScratch& scratch : scratches_) scratch.bind(problem);
   }
 
   /// Fill every NaN entry of `fitness` (parallel to `population`). Known

@@ -1,26 +1,25 @@
 #include "core/ga_problem.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <cstring>
-#include <numeric>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
-#include "sched/etc_matrix.hpp"
 #include "sched/risk_filter.hpp"
 
 namespace gridsched::core {
 
 GaProblem build_problem(const sim::SchedulerContext& context,
                         const security::RiskPolicy& policy) {
-  static std::atomic<std::uint64_t> next_epoch{1};
   GaProblem problem;
-  problem.epoch = next_epoch.fetch_add(1, std::memory_order_relaxed);
-  problem.now = context.now;
-  problem.sites = context.sites;
-  problem.avail = context.avail;
-  problem.site_up = context.site_up;
-  problem.exec_model = context.exec;
+  sim::SchedulerContext& kept = problem.context;
+  kept.now = context.now;
+  kept.sites = context.sites;
+  kept.avail = context.avail;
+  kept.site_up = context.site_up;
+  kept.exec = context.exec;
 
   for (std::size_t j = 0; j < context.jobs.size(); ++j) {
     if (context.jobs[j].nodes == 0) {
@@ -34,96 +33,74 @@ GaProblem build_problem(const sim::SchedulerContext& context,
     std::vector<sim::SiteId> domain =
         sched::admissible_sites(context, context.jobs[j], policy);
     if (domain.empty()) continue;  // stays pending this round
-    problem.jobs.push_back(context.jobs[j]);
+    kept.jobs.push_back(context.jobs[j]);
     problem.batch_index.push_back(j);
     problem.domains.push_back(std::move(domain));
   }
 
-  // One shared feasibility-gated resolution (sched::EtcMatrix) over the
-  // full batch; the kept jobs' rows are gathered through batch_index.
-  const std::size_t n_sites = problem.sites.size();
-  const sched::EtcMatrix etc(context);
-  problem.exec.resize(problem.jobs.size() * n_sites);
-  problem.pfail.resize(problem.jobs.size() * n_sites);
-  for (std::size_t j = 0; j < problem.jobs.size(); ++j) {
+  // Cells: exec through the context's model where the job fits the site,
+  // infinity where it does not.
+  const std::size_t n_jobs = problem.n_jobs();
+  const std::size_t n_sites = problem.n_sites();
+  problem.cells.resize(n_jobs * n_sites);
+  problem.nodes.resize(n_jobs);
+  for (std::size_t j = 0; j < n_jobs; ++j) {
+    const sim::BatchJob& job = kept.jobs[j];
+    problem.nodes[j] = job.nodes;
     for (std::size_t s = 0; s < n_sites; ++s) {
-      problem.exec[j * n_sites + s] = etc.exec(problem.batch_index[j], s);
-      problem.pfail[j * n_sites + s] = security::failure_probability(
-          problem.jobs[j].demand, problem.sites[s].security, policy.lambda());
+      GaProblem::Cell& cell = problem.cells[j * n_sites + s];
+      cell.exec = job.nodes <= kept.sites[s].nodes
+                      ? kept.exec_time(job, s)
+                      : std::numeric_limits<double>::infinity();
+      cell.pfail = security::failure_probability(
+          job.demand, kept.sites[s].security, policy.lambda());
     }
+  }
+
+  // Rank the execs once per problem: dense integers whose unsigned order is
+  // exactly the doubles' order (equal execs share a rank, and there is no
+  // NaN: exec is a model value or infinity). Each decode then sorts narrow
+  // integer keys instead of 64-bit double mappings. One sort of (exec, cell)
+  // pairs and a walk that steps the rank at each new value: a per-cell
+  // binary search over the distinct values cost several times more.
+  std::vector<std::pair<double, std::uint32_t>> by_exec(problem.cells.size());
+  for (std::size_t i = 0; i < by_exec.size(); ++i) {
+    by_exec[i] = {problem.cells[i].exec, static_cast<std::uint32_t>(i)};
+  }
+  std::sort(by_exec.begin(), by_exec.end());
+  std::uint32_t max_rank = 0;
+  for (std::size_t i = 0; i < by_exec.size(); ++i) {
+    if (i > 0 && by_exec[i].first != by_exec[i - 1].first) ++max_rank;
+    problem.cells[by_exec[i].second].rank = max_rank;
+  }
+  while (problem.rank_bytes < 4 &&
+         (max_rank >> (8 * problem.rank_bytes)) != 0) {
+    ++problem.rank_bytes;
+  }
+
+  problem.offset.resize(n_sites + 1);
+  problem.offset[0] = 0;
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    problem.offset[s + 1] =
+        problem.offset[s] + kept.avail[s].free_times().size();
+  }
+  problem.pristine.reserve(problem.offset.back());
+  for (const auto& profile : kept.avail) {
+    const auto& times = profile.free_times();
+    problem.pristine.insert(problem.pristine.end(), times.begin(),
+                            times.end());
   }
   return problem;
 }
 
 void DecodeScratch::bind(const GaProblem& problem) {
-  if (binding_ != nullptr && problem.epoch != 0 &&
-      problem.epoch == binding_->epoch) {
-    return;  // already bound to this exact (immutable) problem
-  }
-  auto binding = std::make_shared<ProblemBinding>();
-  binding->epoch = problem.epoch;
-  binding->n_jobs = problem.n_jobs();
-  binding->nodes.resize(binding->n_jobs);
-  for (std::size_t j = 0; j < binding->n_jobs; ++j) {
-    binding->nodes[j] = problem.jobs[j].nodes;
-  }
-
-  // Rank the exec matrix once per problem: dense integers whose unsigned
-  // order is exactly the doubles' order (equal execs share a rank, and
-  // there is no NaN: exec is work/speed or infinity). Each decode then
-  // sorts narrow integer keys instead of 64-bit double mappings.
-  std::vector<double> distinct = problem.exec;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  binding->cells.resize(problem.exec.size());
-  for (std::size_t i = 0; i < problem.exec.size(); ++i) {
-    binding->cells[i] = {problem.exec[i], problem.pfail[i],
-                         static_cast<std::uint32_t>(
-                             std::lower_bound(distinct.begin(),
-                                              distinct.end(),
-                                              problem.exec[i]) -
-                             distinct.begin())};
-  }
-  const std::size_t max_rank = distinct.empty() ? 0 : distinct.size() - 1;
-  binding->rank_bytes = 1;
-  while (binding->rank_bytes < 4 &&
-         (max_rank >> (8 * binding->rank_bytes)) != 0) {
-    ++binding->rank_bytes;
-  }
-
-  binding->offset.resize(problem.n_sites() + 1);
-  binding->offset[0] = 0;
-  for (std::size_t s = 0; s < problem.n_sites(); ++s) {
-    binding->offset[s + 1] =
-        binding->offset[s] + problem.avail[s].free_times().size();
-  }
-  binding->pristine.resize(binding->offset.back());
-  std::size_t cursor = 0;
-  for (const auto& profile : problem.avail) {
-    for (const sim::Time t : profile.free_times()) {
-      binding->pristine[cursor++] = t;
-    }
-  }
-  binding_ = std::move(binding);
-  working_.resize(binding_->pristine.size());
-  sort_a_.reserve(binding_->n_jobs);
-  sort_b_.reserve(binding_->n_jobs);
-  order_.reserve(binding_->n_jobs);
-  exec_gather_.reserve(binding_->n_jobs);
-  pfail_gather_.reserve(binding_->n_jobs);
-}
-
-void DecodeScratch::bind_from(const DecodeScratch& other) {
-  assert(other.binding_ != nullptr && "bind_from: source scratch not bound");
-  if (binding_ == other.binding_) return;
-  binding_ = other.binding_;
-  working_.resize(binding_->pristine.size());
-  sort_a_.reserve(binding_->n_jobs);
-  sort_b_.reserve(binding_->n_jobs);
-  order_.reserve(binding_->n_jobs);
-  exec_gather_.reserve(binding_->n_jobs);
-  pfail_gather_.reserve(binding_->n_jobs);
+  const std::size_t n = problem.n_jobs();
+  working_.resize(problem.pristine.size());
+  sort_a_.reserve(n);
+  sort_b_.reserve(n);
+  order_.reserve(n);
+  exec_gather_.reserve(n);
+  pfail_gather_.reserve(n);
 }
 
 // GS-FASTPATH-BEGIN: per-decode hot path — zero steady-state
@@ -131,9 +108,11 @@ void DecodeScratch::bind_from(const DecodeScratch& other) {
 // GS-R01 rejects stable_sort/inplace_merge/vector/new in this region).
 std::span<const DecodeScratch::SortedGene> DecodeScratch::prepare(
     const GaProblem& problem, const Chromosome& chromosome) noexcept {
-  assert(binding_ != nullptr && chromosome.size() == binding_->n_jobs &&
+  assert(chromosome.size() == problem.n_jobs() &&
+         working_.size() == problem.pristine.size() &&
          "DecodeScratch::prepare: bind() the problem first");
-  std::copy(binding_->pristine.begin(), binding_->pristine.end(),
+  problem_ = &problem;
+  std::copy(problem.pristine.begin(), problem.pristine.end(),
             working_.begin());
   const std::size_t n = chromosome.size();
   sort_a_.resize(n);
@@ -142,9 +121,9 @@ std::span<const DecodeScratch::SortedGene> DecodeScratch::prepare(
   // Single sequential pass: the per-row cell reads prefetch well here, and
   // the decode loop below then only touches these dense gathers.
   const std::size_t n_sites = problem.n_sites();
-  const Cell* cells = binding_->cells.data();
+  const GaProblem::Cell* cells = problem.cells.data();
   for (std::size_t j = 0; j < n; ++j) {
-    const Cell& cell = cells[j * n_sites + chromosome[j]];
+    const GaProblem::Cell& cell = cells[j * n_sites + chromosome[j]];
     exec_gather_[j] = cell.exec;
     pfail_gather_[j] = cell.pfail;
     sort_a_[j] = (static_cast<std::uint64_t>(cell.rank) << 32) |
@@ -167,7 +146,7 @@ std::span<const DecodeScratch::SortedGene> DecodeScratch::sort_genes(
   // the packed key; the index bytes need no passes — stability plus the
   // ascending initial order already gives the tie order). Trivial digits
   // (all keys share the byte) are skipped.
-  const unsigned rank_bytes = binding_->rank_bytes;
+  const unsigned rank_bytes = problem_->rank_bytes;
   sort_b_.resize(n);
   std::memset(hist_, 0, rank_bytes * sizeof(hist_[0]));
   for (std::size_t i = 0; i < n; ++i) {
@@ -208,8 +187,9 @@ std::span<const DecodeScratch::SortedGene> DecodeScratch::sort_genes(
 sim::NodeAvailability::Window DecodeScratch::reserve(sim::SiteId s, unsigned k,
                                                      double exec,
                                                      sim::Time now) noexcept {
-  sim::Time* free_times = working_.data() + binding_->offset[s];
-  const std::size_t n = binding_->offset[s + 1] - binding_->offset[s];
+  const std::size_t* offset = problem_->offset.data();
+  sim::Time* free_times = working_.data() + offset[s];
+  const std::size_t n = offset[s + 1] - offset[s];
   assert(k >= 1 && k <= n && "DecodeScratch::reserve: bad node count");
   const sim::Time start = std::max(now, free_times[k - 1]);
   const sim::Time end = start + exec;
@@ -229,10 +209,10 @@ sim::NodeAvailability::Window DecodeScratch::reserve(sim::SiteId s, unsigned k,
 namespace {
 
 /// One scratch per thread for the validating public entry points, so they
-/// ride the same allocation-free path as the engine. Deliberate trade-off:
-/// each thread that decodes retains the last problem's binding (a few
-/// hundred KB at 512 jobs x 16 sites) until it decodes another problem or
-/// exits — the price of making repeated one-off calls rebind-free.
+/// ride the same allocation-free path as the engine. Binding only sizes
+/// buffers, so each thread that decodes keeps the capacity of the largest
+/// problem it has seen (about 20 KB at 512 jobs, plus its free-time arena)
+/// until it exits.
 DecodeScratch& thread_scratch() {
   thread_local DecodeScratch scratch;
   return scratch;
@@ -240,21 +220,32 @@ DecodeScratch& thread_scratch() {
 
 /// Validation for the public (non-scratch) decode entry points. The GA
 /// engine validates seeds once in evolve and skips this per evaluation.
-/// Node fit is checked against the availability profiles because those are
-/// what the arena decode actually indexes (hand-built problems may disagree
-/// with sites[s].nodes).
+/// The tables are checked against the problem's dimensions because a
+/// hand-assembled problem may carry any of them, and node fit against the
+/// flattened profiles because those are what the arena decode indexes.
 void validate_decode_args(const GaProblem& problem,
                           const Chromosome& chromosome) {
-  if (chromosome.size() != problem.n_jobs()) {
+  const std::size_t n_jobs = problem.n_jobs();
+  const std::size_t n_sites = problem.n_sites();
+  if (chromosome.size() != n_jobs) {
     throw std::invalid_argument("decode: chromosome length mismatch");
   }
-  if (problem.avail.size() != problem.n_sites()) {
-    throw std::invalid_argument("decode: avail/sites size mismatch");
+  bool tables_fit =
+      problem.cells.size() == n_jobs * n_sites &&
+      problem.nodes.size() == n_jobs && problem.offset.size() == n_sites + 1 &&
+      problem.offset[0] == 0 &&
+      problem.pristine.size() == problem.offset.back() &&
+      problem.rank_bytes >= 1 && problem.rank_bytes <= 4;
+  for (std::size_t s = 0; tables_fit && s < n_sites; ++s) {
+    tables_fit = problem.offset[s] <= problem.offset[s + 1];
   }
-  for (std::size_t j = 0; j < chromosome.size(); ++j) {
+  if (!tables_fit) {
+    throw std::invalid_argument("decode: problem tables do not match its size");
+  }
+  for (std::size_t j = 0; j < n_jobs; ++j) {
     const sim::SiteId s = chromosome[j];
-    if (s >= problem.n_sites() || problem.jobs[j].nodes == 0 ||
-        problem.jobs[j].nodes > problem.avail[s].free_times().size()) {
+    if (s >= n_sites || problem.nodes[j] == 0 ||
+        problem.nodes[j] > problem.offset[s + 1] - problem.offset[s]) {
       throw std::invalid_argument("decode: gene assigns an unusable site");
     }
   }
@@ -268,12 +259,12 @@ void validate_decode_args(const GaProblem& problem,
 double decode_fitness(const GaProblem& problem, const Chromosome& chromosome,
                       const FitnessParams& params,
                       DecodeScratch& scratch) noexcept {
-  double worst = problem.now;
+  double worst = problem.context.now;
   double sum = 0.0;
   decode_into(scratch, problem, chromosome, params.risk_penalty_weight,
               [&](std::size_t, double expected) {
                 worst = std::max(worst, expected);
-                sum += expected - problem.now;
+                sum += expected - problem.context.now;
               });
   const double mean =
       chromosome.empty() ? 0.0 : sum / static_cast<double>(chromosome.size());
@@ -290,7 +281,7 @@ double decode_fitness(const GaProblem& problem, const Chromosome& chromosome,
 
 double batch_makespan(const GaProblem& problem, const Chromosome& chromosome,
                       DecodeScratch& scratch) noexcept {
-  double makespan = problem.now;
+  double makespan = problem.context.now;
   decode_into(scratch, problem, chromosome, 0.0,
               [&](std::size_t, double completion) {
                 makespan = std::max(makespan, completion);
@@ -316,13 +307,6 @@ std::span<const std::size_t> decode_order_into(
   return scratch.order_;
 }
 // GS-FASTPATH-END
-
-std::vector<std::size_t> decode_order(const GaProblem& problem,
-                                      const Chromosome& chromosome) {
-  // One definition of the golden order: the retained reference (which the
-  // scratch path is tested against bit for bit).
-  return decode_order_reference(problem, chromosome);
-}
 
 bool is_feasible(const GaProblem& problem, const Chromosome& chromosome) {
   if (chromosome.size() != problem.n_jobs()) return false;

@@ -1,13 +1,16 @@
 // The GA's view of one scheduling round: the schedulable subset of the
-// batch, per-job site domains (risk-filtered), execution times, and the
-// committed availability profiles. The chromosome encoding is the paper's
-// Fig. 4: an array with one site gene per batch job.
+// batch, per-job site domains (risk-filtered), and the tables the decode
+// reads. The chromosome encoding is the paper's Fig. 4: an array with one
+// site gene per batch job.
+//
+// build_problem is the only way to a decodable problem. It fills every
+// decode table once per batch and nothing mutates them afterwards, so any
+// number of DecodeScratch workspaces (one per thread-pool chunk) decode the
+// same const problem, and a copy decodes exactly like its original.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -19,78 +22,55 @@ namespace gridsched::core {
 using Chromosome = std::vector<sim::SiteId>;
 
 struct GaProblem {
-  sim::Time now = 0.0;
-  std::vector<sim::BatchJob> jobs;          ///< GA-schedulable jobs
-  std::vector<std::size_t> batch_index;     ///< original indices in the context
-  std::vector<sim::SiteConfig> sites;
-  std::vector<sim::NodeAvailability> avail; ///< committed profiles, per site
-  /// The context's site-availability mask (empty = all usable). Domains
-  /// already exclude masked-out sites; the mask is retained so
-  /// sub-schedulers run on this problem (heuristic population seeds) see
-  /// the same availability the GA did.
-  std::vector<std::uint8_t> site_up;
-  /// Admissible sites per job (never empty for jobs kept in `jobs`).
+  /// One jobs x sites entry with everything the decode's gather pass reads,
+  /// interleaved so each gene costs one cache line instead of three.
+  struct Cell {
+    double exec = 0.0;       ///< execution time (infinity: does not fit)
+    double pfail = 0.0;      ///< Eq. 1 failure probability
+    std::uint32_t rank = 0;  ///< dense rank of `exec` among all cells
+  };
+
+  /// The batch's scheduler context with only the GA-schedulable jobs kept:
+  /// gene j places `context.jobs[j]`. Sites, committed availability
+  /// profiles, site mask and execution model are the batch's own, so the
+  /// heuristic population seeds schedule this context directly and see
+  /// exactly what the GA does.
+  sim::SchedulerContext context;
+  std::vector<std::size_t> batch_index;  ///< original indices in the batch
+  /// Admissible sites per job (never empty for kept jobs). Domains already
+  /// exclude masked-out sites.
   std::vector<std::vector<sim::SiteId>> domains;
-  /// The context's execution model, retained so sub-schedulers built from
-  /// this problem (heuristic population seeds) resolve exec times the same
-  /// way the `exec` matrix below was filled.
-  sim::ExecModel exec_model;
-  /// Flattened jobs x sites execution times (infinity when infeasible),
-  /// resolved through `exec_model`: raw ETC cells when the workload
-  /// carries a matrix, work/speed otherwise.
-  std::vector<double> exec;
-  /// Flattened jobs x sites Eq. 1 failure probabilities.
-  std::vector<double> pfail;
-  /// Identity stamp: build_problem assigns a process-unique non-zero value,
-  /// letting DecodeScratch::bind skip rebinding when called again with the
-  /// same problem. Built problems must be treated as immutable for the
-  /// stamp to stay truthful; hand-assembled problems keep 0 (= always
-  /// rebind fully). Copies drop the stamp — a copy is a distinct object the
-  /// caller may mutate, so it must never alias a cached binding.
-  std::uint64_t epoch = 0;
 
-  GaProblem() = default;
-  GaProblem(GaProblem&&) = default;
-  GaProblem& operator=(GaProblem&&) = default;
-  GaProblem(const GaProblem& other) { *this = other; }
-  GaProblem& operator=(const GaProblem& other) {
-    if (this != &other) {
-      now = other.now;
-      jobs = other.jobs;
-      batch_index = other.batch_index;
-      sites = other.sites;
-      avail = other.avail;
-      site_up = other.site_up;
-      domains = other.domains;
-      exec_model = other.exec_model;
-      exec = other.exec;
-      pfail = other.pfail;
-      epoch = 0;  // unstamped: see above
-    }
-    return *this;
+  /// Decode tables. Execution times resolve through `context.exec` (raw ETC
+  /// cells when the workload carries a matrix, work/speed otherwise).
+  std::vector<Cell> cells;          ///< jobs x sites, row-major
+  std::vector<unsigned> nodes;      ///< context.jobs[j].nodes
+  std::vector<sim::Time> pristine;  ///< committed free times, all sites
+  std::vector<std::size_t> offset;  ///< site s: [offset[s], offset[s + 1])
+  unsigned rank_bytes = 1;          ///< radix passes the ranks need
+
+  [[nodiscard]] std::size_t n_jobs() const noexcept {
+    return context.jobs.size();
   }
-
-  [[nodiscard]] std::size_t n_jobs() const noexcept { return jobs.size(); }
-  [[nodiscard]] std::size_t n_sites() const noexcept { return sites.size(); }
+  [[nodiscard]] std::size_t n_sites() const noexcept {
+    return context.sites.size();
+  }
   [[nodiscard]] double exec_at(std::size_t j, std::size_t s) const noexcept {
-    return exec[j * n_sites() + s];
+    return cells[j * n_sites() + s].exec;
   }
   [[nodiscard]] double pfail_at(std::size_t j, std::size_t s) const noexcept {
-    return pfail[j * n_sites() + s];
+    return cells[j * n_sites() + s].pfail;
   }
 };
 
 /// Reusable decode workspace: per-gene sort keys, a gather of the exec/
-/// pfail/node-count columns the decode loop touches (dense per-job arrays,
-/// so the loop never random-accesses the jobs x sites matrices), and a flat
-/// copy-on-decode availability arena (all sites' free times in one
-/// contiguous buffer with a pristine snapshot, so resetting to the
-/// committed profiles is an O(total nodes) copy instead of a
-/// vector-of-vectors deep copy).
+/// pfail columns the decode loop touches (dense per-job arrays, so the loop
+/// never random-accesses the jobs x sites cells), and a working copy of the
+/// problem's flattened free times that each decode resets from
+/// `GaProblem::pristine` with one O(total nodes) copy.
 ///
-/// Sorting exploits that the exec matrix is fixed per problem: bind() ranks
-/// the distinct exec values once (order-isomorphic dense integers, ties
-/// mapped to equal ranks), so each decode sorts small packed
+/// Sorting exploits the problem's exec ranks (order-isomorphic dense
+/// integers, ties mapped to equal ranks): each decode sorts small packed
 /// (rank << 32 | gene index) integers — a two-pass LSD radix for typical
 /// rank widths, std::sort below a size threshold. Both are stable in the
 /// gene index and therefore reproduce stable_sort's order exactly. After
@@ -107,22 +87,18 @@ class DecodeScratch {
     return static_cast<std::uint32_t>(packed);
   }
 
-  /// Capture `problem`'s committed availability profiles, rank its exec
-  /// matrix, and size every buffer for its job/site counts. Binding again
-  /// with the same built problem (matching GaProblem::epoch) is a no-op.
+  /// Size every mutable buffer for `problem`'s job count and free-time
+  /// arena. Any problem of the same shape (a copy, say) may then be decoded.
   void bind(const GaProblem& problem);
 
-  /// Share `other`'s problem binding (the immutable rank/cell/profile
-  /// tables) instead of rebuilding them — the engine binds one scratch per
-  /// evolve and fans the binding out to its per-chunk siblings.
-  void bind_from(const DecodeScratch& other);
-
-  /// Reset the arena to the bound profiles, gather the chromosome's exec/
-  /// pfail columns, and compute the shortest-execution-first decode order
-  /// (stable for ties, bit-identical to decode_order). The span is valid
-  /// until the next prepare()/bind(). Preconditions (enforced by evolve's
-  /// seed validation, not re-checked here): bind(problem) was called and
-  /// chromosome.size() == problem.n_jobs().
+  /// Reset the arena to the problem's committed profiles, gather the
+  /// chromosome's exec/pfail columns, and compute the
+  /// shortest-execution-first decode order (stable for ties, bit-identical
+  /// to decode_order_reference). The span is valid until the next
+  /// prepare()/bind(); reserve() and nodes_of() read `problem` until then.
+  /// Preconditions (enforced by evolve's seed validation, not re-checked
+  /// here): bind(problem) was called and chromosome.size() ==
+  /// problem.n_jobs().
   std::span<const SortedGene> prepare(const GaProblem& problem,
                                       const Chromosome& chromosome) noexcept;
 
@@ -134,7 +110,7 @@ class DecodeScratch {
     return pfail_gather_[j];
   }
   [[nodiscard]] unsigned nodes_of(std::uint32_t j) const noexcept {
-    return binding_->nodes[j];
+    return problem_->nodes[j];
   }
 
   /// Arena equivalent of NodeAvailability::reserve on site `s`: occupy the
@@ -144,30 +120,9 @@ class DecodeScratch {
                                         sim::Time now) noexcept;
 
  private:
-  /// One jobs x sites entry with everything the gather pass reads,
-  /// interleaved so each gene costs one cache line instead of three.
-  struct Cell {
-    double exec = 0.0;
-    double pfail = 0.0;
-    std::uint32_t rank = 0;
-  };
-
-  /// Everything derived from the (immutable) problem, shared between the
-  /// engine's per-chunk scratches so the rank table is built once per
-  /// evolve, not once per thread.
-  struct ProblemBinding {
-    std::vector<Cell> cells;            ///< exec/pfail/rank, jobs x sites
-    std::vector<unsigned> nodes;        ///< jobs[j].nodes
-    std::vector<sim::Time> pristine;    ///< flattened committed free times
-    std::vector<std::size_t> offset;    ///< per-site start, n_sites + 1
-    std::size_t n_jobs = 0;
-    std::uint64_t epoch = 0;            ///< GaProblem::epoch (0 = unstamped)
-    unsigned rank_bytes = 1;            ///< radix passes the ranks need
-  };
-
   std::span<const SortedGene> sort_genes(std::size_t n) noexcept;
 
-  std::shared_ptr<const ProblemBinding> binding_;
+  const GaProblem* problem_ = nullptr;  ///< the last prepare()'s problem
   std::vector<SortedGene> sort_a_;        ///< sort input / radix ping
   std::vector<SortedGene> sort_b_;        ///< radix pong
   std::vector<std::size_t> order_;        ///< decode_order_into output
@@ -196,17 +151,19 @@ void decode_into(DecodeScratch& scratch, const GaProblem& problem,
     const std::uint32_t j = DecodeScratch::gene_index(packed);
     const double exec = scratch.exec_of(j);
     const auto window = scratch.reserve(chromosome[j], scratch.nodes_of(j),
-                                        exec, problem.now);
+                                        exec, problem.context.now);
     consume(j, window.end + risk_penalty * scratch.pfail_of(j) * exec);
   }
 }
 // GS-FASTPATH-END
 
-/// Build the GA subproblem from a scheduler context. Jobs whose admissible
-/// set under `policy` is empty are dropped (they stay pending in the
-/// engine). The fail-stop rule for secure_only jobs is enforced by the
-/// admissibility filter regardless of `policy`. `policy.lambda()` feeds the
-/// failure-probability matrix.
+/// Build the GA subproblem from a scheduler context, with every decode
+/// table filled. Jobs whose admissible set under `policy` is empty are
+/// dropped (they stay pending in the engine). The fail-stop rule for
+/// secure_only jobs is enforced by the admissibility filter regardless of
+/// `policy`. A cell's exec is `context.exec_time` where the job fits the
+/// site and infinity where it does not; `policy.lambda()` feeds the
+/// failure probabilities.
 GaProblem build_problem(const sim::SchedulerContext& context,
                         const security::RiskPolicy& policy);
 
@@ -228,13 +185,15 @@ struct FitnessParams {
 ///   c_j + risk_penalty_weight * pfail_j * exec_j
 /// and the fitness is max_j(expected) + flowtime_weight * mean_j(expected
 /// - now). Genes must lie in the job's domain. Validates the chromosome and
-/// throws std::invalid_argument on length/site mismatches; the scratch
-/// overload below is the validated hot path.
+/// the problem's decode tables, throwing std::invalid_argument on length/
+/// site mismatches or tables that do not match the problem's dimensions;
+/// the scratch overload below is the unvalidated hot path.
 double decode_fitness(const GaProblem& problem, const Chromosome& chromosome,
                       const FitnessParams& params);
 
 /// Allocation-free fast path: identical value to the validating overload,
-/// bit for bit. `scratch` must be bound to `problem` and the chromosome
+/// bit for bit. `scratch` must be bound to `problem` (or a problem of the
+/// same shape) and the chromosome
 /// must be feasible (evolve validates seeds once; operators preserve
 /// feasibility, so per-evaluation checks are unnecessary).
 double decode_fitness(const GaProblem& problem, const Chromosome& chromosome,
@@ -251,12 +210,9 @@ double batch_makespan(const GaProblem& problem, const Chromosome& chromosome,
                       DecodeScratch& scratch) noexcept;
 
 /// The shortest-execution-first order in which a chromosome's assignments
-/// are reserved/dispatched (stable for ties).
-std::vector<std::size_t> decode_order(const GaProblem& problem,
-                                      const Chromosome& chromosome);
-
-/// Allocation-free decode_order: the returned span aliases the scratch and
-/// is valid until its next prepare()/bind(). Also resets the scratch arena.
+/// are reserved/dispatched (stable for ties), allocation-free: the returned
+/// span aliases the scratch and is valid until its next prepare()/bind().
+/// Also resets the scratch arena.
 std::span<const std::size_t> decode_order_into(
     DecodeScratch& scratch, const GaProblem& problem,
     const Chromosome& chromosome) noexcept;

@@ -5,14 +5,14 @@
 #include <unordered_map>
 
 #include "core/operators.hpp"
-#include "sched/heuristics.hpp"
 
 namespace gridsched::core {
 
 GaScheduler::GaScheduler(StgaConfig config, util::ThreadPool* pool)
     : config_(config), pool_(pool),
       table_(config.table_capacity, config.similarity_threshold),
-      rng_(config.seed) {}
+      rng_(config.seed), min_min_(security::RiskPolicy::risky()),
+      sufferage_(security::RiskPolicy::risky()) {}
 
 std::vector<Chromosome> GaScheduler::build_initial_population(
     const GaProblem& problem, const BatchSignature& signature) {
@@ -70,27 +70,15 @@ std::vector<Chromosome> GaScheduler::build_initial_population(
   }
 
   if (config_.heuristic_seeds) {
-    // Min-Min and Sufferage solutions of this very batch, as strong seeds.
-    sim::SchedulerContext sub_context;
-    sub_context.now = problem.now;
-    sub_context.sites = problem.sites;
-    sub_context.avail = problem.avail;
-    sub_context.site_up = problem.site_up;  // down sites stay invisible
-    sub_context.jobs = problem.jobs;
-    sub_context.exec = problem.exec_model;  // same exec resolution as the GA
-    for (const bool use_sufferage : {false, true}) {
-      std::unique_ptr<sched::HeuristicScheduler> heuristic;
-      if (use_sufferage) {
-        heuristic = std::make_unique<sched::SufferageScheduler>(
-            security::RiskPolicy::risky());
-      } else {
-        heuristic = std::make_unique<sched::MinMinScheduler>(
-            security::RiskPolicy::risky());
-      }
-      const auto assignments = heuristic->schedule(sub_context);
-      if (assignments.size() != problem.n_jobs()) continue;  // partial: skip
+    // Min-Min and Sufferage solutions of this very batch, as strong seeds,
+    // scheduled on the problem's own context: down sites stay invisible
+    // and exec times resolve exactly as the GA's cells did.
+    sched::HeuristicScheduler* const seeds[] = {&min_min_, &sufferage_};
+    for (sched::HeuristicScheduler* heuristic : seeds) {
+      heuristic->schedule_into(problem.context, seed_assignments_);
+      if (seed_assignments_.size() != problem.n_jobs()) continue;  // partial
       Chromosome chromosome(problem.n_jobs());
-      for (const auto& assignment : assignments) {
+      for (const auto& assignment : seed_assignments_) {
         chromosome[assignment.job_index] = assignment.site;
       }
       repair(chromosome, problem, rng_);  // defensive; normally a no-op
@@ -108,7 +96,7 @@ void GaScheduler::schedule_into(const sim::SchedulerContext& context,
   GaProblem problem =
       build_problem(context, security::RiskPolicy::risky(config_.lambda));
   if (problem.n_jobs() == 0) return;
-  scratch_.bind(problem);  // history rescoring + dispatch decode below
+  scratch_.bind(problem);  // sizes buffers for rescoring + dispatch below
 
   const BatchSignature signature = make_signature(problem);
   std::vector<Chromosome> initial =

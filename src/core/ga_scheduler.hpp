@@ -14,6 +14,7 @@
 
 #include "core/ga_engine.hpp"
 #include "core/history.hpp"
+#include "sched/heuristics.hpp"
 #include "security/security.hpp"
 #include "sim/scheduling.hpp"
 #include "util/rng.hpp"
@@ -80,8 +81,13 @@ class GaScheduler : public sim::BatchScheduler {
   util::Rng rng_;
   std::vector<GaProfile>* profile_sink_ = nullptr;
   const util::CancelToken* cancel_ = nullptr;
+  /// Risky population seeds, reused across batches for their capacity
+  /// (each schedule_into rebuilds its site index from the context).
+  sched::MinMinScheduler min_min_;
+  sched::SufferageScheduler sufferage_;
+  std::vector<sim::Assignment> seed_assignments_;
   /// Reused across batches for history-match rescoring and the dispatch
-  /// decode order (bound to each batch's problem in schedule_into()).
+  /// decode order (sized for each batch's problem in schedule_into()).
   DecodeScratch scratch_;
 };
 

@@ -57,19 +57,21 @@ double vector_similarity(std::span<const double> a, std::span<const double> b) {
 BatchSignature make_signature(const GaProblem& problem) {
   BatchSignature signature;
   signature.avail.reserve(problem.n_sites());
-  for (const auto& profile : problem.avail) {
+  for (const auto& profile : problem.context.avail) {
     double sum = 0.0;
     for (const double t : profile.free_times()) {
-      sum += std::max(0.0, t - problem.now);  // backlog relative to now
+      sum += std::max(0.0, t - problem.context.now);  // backlog vs now
     }
     signature.avail.push_back(sum / static_cast<double>(profile.nodes()));
   }
-  signature.etc.reserve(problem.exec.size());
-  for (const double x : problem.exec) {
-    signature.etc.push_back(std::isfinite(x) ? x : 0.0);
+  signature.etc.reserve(problem.cells.size());
+  for (const GaProblem::Cell& cell : problem.cells) {
+    signature.etc.push_back(std::isfinite(cell.exec) ? cell.exec : 0.0);
   }
   signature.demands.reserve(problem.n_jobs());
-  for (const auto& job : problem.jobs) signature.demands.push_back(job.demand);
+  for (const auto& job : problem.context.jobs) {
+    signature.demands.push_back(job.demand);
+  }
   return signature;
 }
 

@@ -20,27 +20,22 @@ void train_stga(const Scenario& scenario, const workload::Workload& main,
   if (total == 0) return;
   const std::size_t half = total / 2;
 
+  sched::MinMinScheduler min_min(security::RiskPolicy::risky());
+  sched::SufferageScheduler sufferage(security::RiskPolicy::risky());
   struct Phase {
     std::size_t jobs;
-    bool use_sufferage;
+    sim::BatchScheduler& heuristic;
     std::uint64_t salt;
   };
-  const Phase phases[] = {{total - half, false, 0xB001}, {half, true, 0xB002}};
+  const Phase phases[] = {{total - half, min_min, 0xB001},
+                          {half, sufferage, 0xB002}};
   for (const Phase& phase : phases) {
     if (phase.jobs == 0) continue;
     const std::uint64_t phase_seed =
         util::Rng::child(seed, phase.salt).next_u64();
     workload::Workload training =
         make_training_workload(scenario, main, phase.jobs, phase_seed);
-    std::unique_ptr<sched::HeuristicScheduler> heuristic;
-    if (phase.use_sufferage) {
-      heuristic = std::make_unique<sched::SufferageScheduler>(
-          security::RiskPolicy::risky());
-    } else {
-      heuristic = std::make_unique<sched::MinMinScheduler>(
-          security::RiskPolicy::risky());
-    }
-    core::RecordingScheduler recorder(*heuristic, stga);
+    core::RecordingScheduler recorder(phase.heuristic, stga);
     sim::EngineConfig engine_config = scenario.engine;
     engine_config.seed = phase_seed;
     engine_config.cancel = cancel;  // the watchdog covers training too

@@ -26,7 +26,6 @@
 #include "obs/proc_stats.hpp"       // IWYU pragma: export
 #include "obs/timeseries.hpp"       // IWYU pragma: export
 #include "obs/trace_event.hpp"      // IWYU pragma: export
-#include "sched/etc_matrix.hpp"     // IWYU pragma: export
 #include "sched/heuristics.hpp"     // IWYU pragma: export
 #include "sched/registry.hpp"       // IWYU pragma: export
 #include "sched/risk_filter.hpp"    // IWYU pragma: export

@@ -120,11 +120,11 @@ class OlbScheduler final : public HeuristicScheduler {
 };
 
 /// The heuristic bodies as they stood before exec times were resolved on
-/// the fly: a per-cycle sched::EtcMatrix, a fresh availability copy, and
-/// the per-pair admissible() test. `heuristic` is a registry name
-/// (heuristic_names()). Golden references the schedulers above must match
-/// assignment for assignment; not used on any hot path. Throws
-/// std::invalid_argument for an unknown name.
+/// the fly: a per-cycle batch x sites exec table of their own, a fresh
+/// availability copy, and the per-pair admissible() test. `heuristic` is a
+/// registry name (heuristic_names()). Golden references the schedulers
+/// above must match assignment for assignment; not used on any hot path.
+/// Throws std::invalid_argument for an unknown name.
 std::vector<sim::Assignment> reference_schedule(
     const std::string& heuristic, const sim::SchedulerContext& context,
     const security::RiskPolicy& policy);

@@ -1,14 +1,13 @@
 // The list heuristics as they stood before they resolved exec times on the
-// fly: each cycle builds a batch x sites sched::EtcMatrix, deep-copies the
-// availability profiles and runs the full admissible() test per (job,
-// site) pair. Kept as the golden reference the schedulers in
-// iterative_heuristics.cpp and simple_heuristics.cpp must match assignment
-// for assignment (tests/sched_differential_test.cpp). Not used
-// on any hot path.
+// fly: each cycle builds a batch x sites execution-time table (EtcTable
+// below), deep-copies the availability profiles and runs the full
+// admissible() test per (job, site) pair. Kept as the golden reference the
+// schedulers in iterative_heuristics.cpp and simple_heuristics.cpp must
+// match assignment for assignment (tests/sched_differential_test.cpp). Not
+// used on any hot path.
 #include <limits>
 #include <stdexcept>
 
-#include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/risk_filter.hpp"
 
@@ -16,9 +15,38 @@ namespace gridsched::sched {
 
 namespace {
 
+constexpr double kInfeasible = std::numeric_limits<double>::infinity();
+
+/// Expected-Time-to-Compute table of one cycle (Braun et al. terminology):
+/// exec(j, s) is `context.exec_time` where batch job j fits site s,
+/// kInfeasible where it does not.
+class EtcTable {
+ public:
+  explicit EtcTable(const sim::SchedulerContext& context)
+      : n_sites_(context.sites.size()),
+        cells_(context.jobs.size() * n_sites_, kInfeasible) {
+    for (std::size_t j = 0; j < context.jobs.size(); ++j) {
+      const sim::BatchJob& job = context.jobs[j];
+      for (std::size_t s = 0; s < n_sites_; ++s) {
+        if (job.nodes <= context.sites[s].nodes) {
+          cells_[j * n_sites_ + s] = context.exec_time(job, s);
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] double exec(std::size_t j, std::size_t s) const noexcept {
+    return cells_[j * n_sites_ + s];
+  }
+
+ private:
+  std::size_t n_sites_;
+  std::vector<double> cells_;
+};
+
 std::vector<sim::Assignment> min_min_schedule(
     const sim::SchedulerContext& context, const security::RiskPolicy& policy) {
-  const EtcMatrix etc(context);
+  const EtcTable etc(context);
   std::vector<sim::NodeAvailability> avail = context.avail;
 
   std::vector<std::size_t> unassigned(context.jobs.size());
@@ -32,7 +60,7 @@ std::vector<sim::Assignment> min_min_schedule(
     // commit the job whose minimum is globally smallest.
     std::size_t best_pos = unassigned.size();
     sim::SiteId best_site = sim::kInvalidSite;
-    double best_completion = EtcMatrix::kInfeasible;
+    double best_completion = kInfeasible;
     for (std::size_t pos = 0; pos < unassigned.size(); ++pos) {
       const std::size_t j = unassigned[pos];
       const sim::BatchJob& job = context.jobs[j];
@@ -61,7 +89,7 @@ std::vector<sim::Assignment> min_min_schedule(
 
 std::vector<sim::Assignment> max_min_schedule(
     const sim::SchedulerContext& context, const security::RiskPolicy& policy) {
-  const EtcMatrix etc(context);
+  const EtcTable etc(context);
   std::vector<sim::NodeAvailability> avail = context.avail;
 
   std::vector<std::size_t> unassigned(context.jobs.size());
@@ -80,7 +108,7 @@ std::vector<sim::Assignment> max_min_schedule(
       const std::size_t j = unassigned[pos];
       const sim::BatchJob& job = context.jobs[j];
       sim::SiteId job_best_site = sim::kInvalidSite;
-      double job_best = EtcMatrix::kInfeasible;
+      double job_best = kInfeasible;
       for (std::size_t s = 0; s < context.sites.size(); ++s) {
         if (!admissible(context, job, s, policy)) continue;
         const double completion =
@@ -111,7 +139,7 @@ std::vector<sim::Assignment> max_min_schedule(
 
 std::vector<sim::Assignment> sufferage_schedule(
     const sim::SchedulerContext& context, const security::RiskPolicy& policy) {
-  const EtcMatrix etc(context);
+  const EtcTable etc(context);
   std::vector<sim::NodeAvailability> avail = context.avail;
 
   std::vector<std::size_t> unassigned(context.jobs.size());
@@ -126,13 +154,13 @@ std::vector<sim::Assignment> sufferage_schedule(
     std::size_t pick_pos = unassigned.size();
     sim::SiteId pick_site = sim::kInvalidSite;
     double pick_sufferage = -1.0;
-    double pick_best_completion = EtcMatrix::kInfeasible;
+    double pick_best_completion = kInfeasible;
     for (std::size_t pos = 0; pos < unassigned.size(); ++pos) {
       const std::size_t j = unassigned[pos];
       const sim::BatchJob& job = context.jobs[j];
       sim::SiteId best_site = sim::kInvalidSite;
-      double best = EtcMatrix::kInfeasible;
-      double second = EtcMatrix::kInfeasible;
+      double best = kInfeasible;
+      double second = kInfeasible;
       for (std::size_t s = 0; s < context.sites.size(); ++s) {
         if (!admissible(context, job, s, policy)) continue;
         const double completion =
@@ -147,7 +175,7 @@ std::vector<sim::Assignment> sufferage_schedule(
       }
       if (best_site == sim::kInvalidSite) continue;
       const double sufferage =
-          second == EtcMatrix::kInfeasible
+          second == kInfeasible
               ? std::numeric_limits<double>::infinity()
               : second - best;
       // Ties broken toward the earlier-completing job for determinism.
@@ -177,7 +205,7 @@ template <typename ScoreFn>
 std::vector<sim::Assignment> single_pass(const sim::SchedulerContext& context,
                                          const security::RiskPolicy& policy,
                                          ScoreFn&& score) {
-  const EtcMatrix etc(context);
+  const EtcTable etc(context);
   std::vector<sim::NodeAvailability> avail = context.avail;
   std::vector<sim::Assignment> result;
   result.reserve(context.jobs.size());
@@ -185,7 +213,7 @@ std::vector<sim::Assignment> single_pass(const sim::SchedulerContext& context,
   for (std::size_t j = 0; j < context.jobs.size(); ++j) {
     const sim::BatchJob& job = context.jobs[j];
     sim::SiteId best_site = sim::kInvalidSite;
-    double best_score = EtcMatrix::kInfeasible;
+    double best_score = kInfeasible;
     for (std::size_t s = 0; s < context.sites.size(); ++s) {
       if (!admissible(context, job, s, policy)) continue;
       const double value = score(j, s, job, avail[s], etc);
@@ -206,7 +234,7 @@ std::vector<sim::Assignment> mct_schedule(
   return single_pass(context, policy,
                      [&](std::size_t j, std::size_t s, const sim::BatchJob& job,
                          const sim::NodeAvailability& avail,
-                         const EtcMatrix& etc) {
+                         const EtcTable& etc) {
                        return avail.preview(job.nodes, etc.exec(j, s),
                                             context.now).end;
                      });
@@ -216,7 +244,7 @@ std::vector<sim::Assignment> met_schedule(
     const sim::SchedulerContext& context, const security::RiskPolicy& policy) {
   return single_pass(context, policy,
                      [&](std::size_t j, std::size_t s, const sim::BatchJob&,
-                         const sim::NodeAvailability&, const EtcMatrix& etc) {
+                         const sim::NodeAvailability&, const EtcTable& etc) {
                        return etc.exec(j, s);
                      });
 }
@@ -225,7 +253,7 @@ std::vector<sim::Assignment> olb_schedule(
     const sim::SchedulerContext& context, const security::RiskPolicy& policy) {
   return single_pass(context, policy,
                      [&](std::size_t, std::size_t, const sim::BatchJob& job,
-                         const sim::NodeAvailability& avail, const EtcMatrix&) {
+                         const sim::NodeAvailability& avail, const EtcTable&) {
                        return avail.earliest_start(job.nodes, context.now);
                      });
 }

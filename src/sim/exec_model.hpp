@@ -6,9 +6,9 @@
 // from the job/site fields rather than materialised.
 //
 // Invariant (ROADMAP "Execution model"): every consumer of execution times
-// must go through an ExecModel (or a matrix derived from one, such as
-// sched::EtcMatrix / GaProblem::exec) so that raw-ETC scenarios stay exact
-// end to end.
+// must go through an ExecModel (or a table derived from one, such as the
+// cells core::build_problem fills) so that raw-ETC scenarios stay exact end
+// to end.
 #pragma once
 
 #include <cstddef>

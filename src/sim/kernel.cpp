@@ -26,7 +26,7 @@ constexpr std::size_t kReservedSlots = std::size_t{1} << 16;
 std::size_t checked_stream_size(
     const std::unique_ptr<workload::JobStream>& stream) {
   if (stream == nullptr) {
-    throw std::invalid_argument("Engine: null job stream");
+    throw std::invalid_argument("SimKernel: null job stream");
   }
   return stream->size();
 }
@@ -82,9 +82,9 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
       total_jobs_(checked_stream_size(stream)),
       churn_(std::move(churn)),
       outages_(std::move(outages)) {
-  if (sites.empty()) throw std::invalid_argument("Engine: no sites");
+  if (sites.empty()) throw std::invalid_argument("SimKernel: no sites");
   if (config_.batch_interval <= 0.0) {
-    throw std::invalid_argument("Engine: batch_interval must be > 0");
+    throw std::invalid_argument("SimKernel: batch_interval must be > 0");
   }
   validate_outages(outages_, sites.size());
   if (!outages_.empty() && any_churns(churn_)) {
@@ -127,16 +127,16 @@ SimKernel::SimKernel(std::vector<SiteConfig> sites,
 
 void SimKernel::validate_admitted(const Job& job) const {
   if (job.work <= 0.0)
-    throw std::invalid_argument("Engine: job work must be > 0");
+    throw std::invalid_argument("SimKernel: job work must be > 0");
   if (job.nodes == 0)
-    throw std::invalid_argument("Engine: job nodes must be > 0");
+    throw std::invalid_argument("SimKernel: job nodes must be > 0");
   if (job.arrival < 0.0)
-    throw std::invalid_argument("Engine: negative arrival");
+    throw std::invalid_argument("SimKernel: negative arrival");
   // Lazy one-arrival-ahead injection only preserves the (time, seq) event
   // order for sorted streams.
   if (job.arrival < last_arrival_) {
     throw std::invalid_argument(
-        "Engine: job stream arrivals must be nondecreasing (job " +
+        "SimKernel: job stream arrivals must be nondecreasing (job " +
         std::to_string(job.id) + ")");
   }
   const bool safe_home =
@@ -144,7 +144,7 @@ void SimKernel::validate_admitted(const Job& job) const {
       security::is_safe(job.demand, best_security_[job.nodes]);
   if (!safe_home) {
     throw std::invalid_argument(
-        "Engine: job " + std::to_string(job.id) +
+        "SimKernel: job " + std::to_string(job.id) +
         " has no absolutely-safe site; it could starve after a failure");
   }
 }
@@ -154,7 +154,7 @@ bool SimKernel::admit_next(Event& arrival) {
   Job job{};
   if (!stream_->next(job)) {
     throw std::runtime_error(
-        "Engine: job stream ended after " + std::to_string(admitted_) +
+        "SimKernel: job stream ended after " + std::to_string(admitted_) +
         " of " + std::to_string(total_jobs_) + " job(s)");
   }
   job.id = static_cast<JobId>(admitted_);
@@ -282,7 +282,7 @@ unsigned SimKernel::revoke_attempt(JobId job_id, Time now) {
 }
 
 void SimKernel::run(BatchScheduler& scheduler) {
-  if (ran_) throw std::logic_error("Engine::run called twice");
+  if (ran_) throw std::logic_error("SimKernel::run called twice");
   ran_ = true;
   ArrivalProcess arrival;
   SecurityFailureProcess failure;
@@ -342,7 +342,7 @@ void SimKernel::run(BatchScheduler& scheduler) {
   }
 
   if (counters_.completed_jobs != total_jobs_) {
-    throw std::runtime_error("Engine: simulation ended with " +
+    throw std::runtime_error("SimKernel: simulation ended with " +
                              describe_unfinished(now));
   }
   if (observer_) observer_->on_run_end(*this);

@@ -103,7 +103,7 @@ void BatchCycleProcess::run_cycle(SimKernel& kernel, Time now) {
   } else {
     if (++idle_cycles_ > kernel.config().max_idle_cycles) {
       throw std::runtime_error(
-          "Engine: scheduler starved " +
+          "SimKernel: scheduler starved " +
           std::to_string(kernel.pending().size()) +
           " pending job(s) for too many cycles");
     }

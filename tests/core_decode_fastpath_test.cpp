@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
 #include <utility>
 
 #include "core/ga_engine.hpp"
@@ -120,6 +123,51 @@ TEST(DecodeFastPath, RebindingToAnotherProblemIsCorrect) {
       const Chromosome chromosome = random_chromosome(problem, rng);
       EXPECT_EQ(decode_fitness_reference(problem, chromosome, params),
                 decode_fitness(problem, chromosome, params, scratch));
+    }
+  }
+}
+
+TEST(DecodeFastPath, CopiesAndIndependentScratchesMatchTheReference) {
+  // Nothing caches a problem: a copy owns its own tables, and every scratch
+  // only sizes buffers, so any scratch decodes any same-shaped problem.
+  const FitnessParams params{0.6, 2.0};
+  for (const std::string& name :
+       {std::string("synth-inconsistent-hihi"), std::string("nas")}) {
+    const auto context = scenario_batch(name, 96, 5);
+    auto original = std::make_unique<GaProblem>(
+        build_problem(context, security::RiskPolicy::risky()));
+    ASSERT_GT(original->n_jobs(), 0u);
+    util::Rng rng(21);
+    std::vector<Chromosome> chromosomes;
+    std::vector<double> reference;
+    std::vector<std::vector<std::size_t>> reference_order;
+    for (int i = 0; i < 6; ++i) {
+      chromosomes.push_back(random_chromosome(*original, rng));
+      reference.push_back(
+          decode_fitness_reference(*original, chromosomes.back(), params));
+      reference_order.push_back(
+          decode_order_reference(*original, chromosomes.back()));
+    }
+    std::array<DecodeScratch, 3> scratches;
+    scratches[0].bind(*original);
+    const GaProblem copy = *original;
+    original.reset();  // the copy must not lean on the original's storage
+    scratches[1].bind(copy);
+    scratches[2].bind(copy);
+    for (std::size_t i = 0; i < chromosomes.size(); ++i) {
+      // Interleave the scratches so each decode follows another's.
+      for (std::size_t k = 0; k < scratches.size(); ++k) {
+        DecodeScratch& scratch = scratches[(i + k) % scratches.size()];
+        EXPECT_EQ(reference[i],
+                  decode_fitness(copy, chromosomes[i], params, scratch))
+            << name << " chromosome " << i << " scratch " << k;
+        const auto order = decode_order_into(scratch, copy, chromosomes[i]);
+        EXPECT_TRUE(std::equal(order.begin(), order.end(),
+                               reference_order[i].begin(),
+                               reference_order[i].end()))
+            << name << " chromosome " << i << " scratch " << k;
+      }
+      EXPECT_EQ(reference[i], decode_fitness(copy, chromosomes[i], params));
     }
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -57,15 +59,49 @@ TEST(BuildProblem, ComputesExecAndPfail) {
               security::failure_probability(0.8, 0.5, 2.0), 1e-12);
 }
 
+TEST(BuildProblem, InfiniteExecWhereAKeptJobDoesNotFit) {
+  auto context = small_context();
+  context.sites[0].nodes = 2;
+  context.avail[0] = sim::NodeAvailability(2, 0.0);
+  context.jobs[0].nodes = 2;  // fits site 0 only, so it is kept
+  const GaProblem problem =
+      build_problem(context, security::RiskPolicy::risky());
+  ASSERT_EQ(problem.n_jobs(), 2u);
+  EXPECT_EQ(problem.domains[0], (std::vector<sim::SiteId>{0}));
+  EXPECT_DOUBLE_EQ(problem.exec_at(0, 0), 10.0);
+  EXPECT_TRUE(std::isinf(problem.exec_at(0, 1)));
+  EXPECT_DOUBLE_EQ(problem.exec_at(1, 1), 3.0);  // work 6 / speed 2
+}
+
+TEST(BuildProblem, RawEtcCellsReachExecAtBitForBit) {
+  auto context = small_context();
+  context.sites[0].nodes = 2;
+  context.avail[0] = sim::NodeAvailability(2, 0.0);
+  context.jobs[1].nodes = 2;
+  context.exec = sim::ExecModel(2, 2, {7.25, 9.5, 11.125, 13.0});
+  const GaProblem problem =
+      build_problem(context, security::RiskPolicy::risky());
+  ASSERT_EQ(problem.n_jobs(), 2u);
+  EXPECT_EQ(problem.exec_at(0, 0), 7.25);
+  EXPECT_EQ(problem.exec_at(0, 1), 9.5);
+  EXPECT_EQ(problem.exec_at(1, 0), 11.125);
+  // Node fit still decides feasibility, whatever the matrix says.
+  EXPECT_TRUE(std::isinf(problem.exec_at(1, 1)));
+  // Cells are row-major: job j's row starts at j * n_sites.
+  ASSERT_EQ(problem.cells.size(), 4u);
+  EXPECT_EQ(problem.cells[1].exec, 9.5);
+  EXPECT_EQ(problem.cells[2].exec, 11.125);
+}
+
 TEST(DecodeOrder, ShortestExecutionFirst) {
   const auto context = small_context();
   const GaProblem problem =
       build_problem(context, security::RiskPolicy::risky());
   // Both jobs on site 0: execs 10 and 6 -> job 1 goes first.
-  EXPECT_EQ(decode_order(problem, {0, 0}),
+  EXPECT_EQ(decode_order_reference(problem, {0, 0}),
             (std::vector<std::size_t>{1, 0}));
   // Job 0 on the fast site (exec 5) overtakes job 1 (exec 6).
-  EXPECT_EQ(decode_order(problem, {1, 0}),
+  EXPECT_EQ(decode_order_reference(problem, {1, 0}),
             (std::vector<std::size_t>{0, 1}));
 }
 
@@ -132,6 +168,41 @@ TEST(DecodeFitness, FlowtimeTermPenalisesLateAverages) {
   EXPECT_DOUBLE_EQ(flow, 16.0 + 11.0);
 }
 
+TEST(DecodeFitness, RejectsTablesThatDoNotMatchTheProblem) {
+  const FitnessParams params{0.6, 2.0};
+  const Chromosome chromosome = {0, 0};
+  const GaProblem built =
+      build_problem(small_context(), security::RiskPolicy::risky());
+  ASSERT_NO_THROW(decode_fitness(built, chromosome, params));
+
+  // Hand-assembled: jobs, sites and domains, but no decode tables.
+  GaProblem bare;
+  bare.context = small_context();
+  bare.domains = built.domains;
+  bare.batch_index = built.batch_index;
+
+  GaProblem short_cells = built;
+  short_cells.cells.pop_back();
+  GaProblem short_nodes = built;
+  short_nodes.nodes.pop_back();
+  GaProblem short_pristine = built;
+  short_pristine.pristine.pop_back();
+  GaProblem bad_offsets = built;
+  bad_offsets.offset = {0, 3, 2};  // site 1 would span backwards
+  GaProblem wide_ranks = built;
+  wide_ranks.rank_bytes = 5;
+  GaProblem zero_nodes = built;
+  zero_nodes.nodes[0] = 0;
+
+  for (const GaProblem* problem :
+       {&bare, &short_cells, &short_nodes, &short_pristine, &bad_offsets,
+        &wide_ranks, &zero_nodes}) {
+    EXPECT_THROW(decode_fitness(*problem, chromosome, params),
+                 std::invalid_argument);
+    EXPECT_THROW(batch_makespan(*problem, chromosome), std::invalid_argument);
+  }
+}
+
 TEST(IsFeasible, DetectsDomainViolations) {
   const auto context = small_context();
   const GaProblem secure =
@@ -188,12 +259,12 @@ TEST_P(FitnessProperty, MatchesBruteForceReplay) {
       return problem.exec_at(a, chromosome[a]) < problem.exec_at(b,
                                                                  chromosome[b]);
     });
-    std::vector<sim::NodeAvailability> avail = problem.avail;
-    double expected = problem.now;
+    std::vector<sim::NodeAvailability> avail = problem.context.avail;
+    double expected = problem.context.now;
     for (const std::size_t j : order) {
       const auto window = avail[chromosome[j]].reserve(
-          problem.jobs[j].nodes, problem.exec_at(j,
-                                                 chromosome[j]), problem.now);
+          problem.context.jobs[j].nodes,
+          problem.exec_at(j, chromosome[j]), problem.context.now);
       expected = std::max(expected, window.end);
     }
     EXPECT_DOUBLE_EQ(batch_makespan(problem, chromosome), expected);

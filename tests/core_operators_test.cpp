@@ -13,10 +13,10 @@ namespace {
 GaProblem toy_problem(std::vector<std::vector<sim::SiteId>> domains,
                       std::size_t n_sites = 4) {
   GaProblem problem;
-  problem.now = 0.0;
+  sim::SchedulerContext& context = problem.context;
   for (std::size_t s = 0; s < n_sites; ++s) {
-    problem.sites.push_back({static_cast<sim::SiteId>(s), 1u, 1.0, 0.8});
-    problem.avail.emplace_back(1u, 0.0);
+    context.sites.push_back({static_cast<sim::SiteId>(s), 1u, 1.0, 0.8});
+    context.avail.emplace_back(1u, 0.0);
   }
   for (std::size_t j = 0; j < domains.size(); ++j) {
     sim::BatchJob job;
@@ -24,12 +24,10 @@ GaProblem toy_problem(std::vector<std::vector<sim::SiteId>> domains,
     job.work = 10.0 + static_cast<double>(j);
     job.nodes = 1;
     job.demand = 0.7;
-    problem.jobs.push_back(job);
+    context.jobs.push_back(job);
     problem.batch_index.push_back(j);
   }
   problem.domains = std::move(domains);
-  problem.exec.assign(problem.n_jobs() * n_sites, 1.0);
-  problem.pfail.assign(problem.n_jobs() * n_sites, 0.0);
   return problem;
 }
 

@@ -16,7 +16,6 @@
 #include "core/ga_scheduler.hpp"
 #include "exp/scenario_registry.hpp"
 #include "job_records.hpp"
-#include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/kernel.hpp"
 #include "workload/synth/synth.hpp"
@@ -134,16 +133,14 @@ TEST(EtcExecution, SynthScenariosCarryTheRawMatrix) {
 }
 
 TEST(EtcExecution, SchedulerAndGaConsumeRawCellsNotTheProjection) {
-  // The scaled generator cells must reach sched::EtcMatrix and
-  // GaProblem::exec bit-for-bit, and must NOT equal the rank-1 projection
-  // for an inconsistent matrix.
+  // The scaled generator cells must reach GaProblem::exec_at bit-for-bit,
+  // and must NOT equal the rank-1 projection for an inconsistent matrix.
   const exp::Scenario scenario =
       exp::make_scenario("synth-inconsistent-hihi", 40);
   const SynthTrace trace = workload::synth::synth_trace(scenario.synth, 23);
   const workload::Workload& w = trace.workload;
   const auto context = context_of(w, w.jobs.size(), 0.0);
 
-  const sched::EtcMatrix etc(context);
   const core::GaProblem problem =
       core::build_problem(context, security::RiskPolicy::risky());
   ASSERT_EQ(problem.n_jobs(), w.jobs.size());  // risky: nothing filtered
@@ -152,11 +149,10 @@ TEST(EtcExecution, SchedulerAndGaConsumeRawCellsNotTheProjection) {
   for (std::size_t j = 0; j < w.jobs.size(); ++j) {
     for (std::size_t s = 0; s < w.sites.size(); ++s) {
       if (w.jobs[j].nodes > w.sites[s].nodes) {
-        EXPECT_TRUE(std::isinf(etc.exec(j, s)));
+        EXPECT_TRUE(std::isinf(problem.exec_at(j, s)));
         continue;
       }
       const double raw = trace.etc.at(j, s);
-      EXPECT_EQ(etc.exec(j, s), raw);
       EXPECT_EQ(problem.exec_at(j, s), raw);
       const double projected = w.jobs[j].work / w.sites[s].speed;
       if (raw != projected) any_off_projection = true;

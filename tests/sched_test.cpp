@@ -1,4 +1,3 @@
-#include "sched/etc_matrix.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/registry.hpp"
 #include "sched/risk_filter.hpp"
@@ -38,48 +37,6 @@ sim::SchedulerContext make_context(std::vector<sim::SiteConfig> sites,
   }
   context.jobs = std::move(jobs);
   return context;
-}
-
-// ----------------------------------------------------------- EtcMatrix ---
-
-TEST(EtcMatrix, ComputesWorkOverSpeed) {
-  const auto context = make_context({{0, 1, 2.0, 1.0}, {1, 1, 4.0, 1.0}},
-                                    {batch_job(100.0)});
-  const EtcMatrix etc(context);  // no matrix attached -> rank-1
-  EXPECT_DOUBLE_EQ(etc.exec(0, 0), 50.0);
-  EXPECT_DOUBLE_EQ(etc.exec(0, 1), 25.0);
-  EXPECT_EQ(etc.jobs(), 1u);
-  EXPECT_EQ(etc.sites(), 2u);
-}
-
-TEST(EtcMatrix, InfeasibleWhenJobDoesNotFit) {
-  const auto context = make_context({{0, 2, 1.0, 1.0}},
-                                    {batch_job(10.0, 4)});
-  const EtcMatrix etc(context);
-  EXPECT_TRUE(std::isinf(etc.exec(0, 0)));
-}
-
-TEST(EtcMatrix, FlattenedLayoutIsRowMajor) {
-  const auto context = make_context({{0, 1, 1.0, 1.0}, {1, 1, 2.0, 1.0}},
-                                    {batch_job(2.0), batch_job(4.0)});
-  const EtcMatrix etc(context);
-  const auto& flat = etc.flattened();
-  ASSERT_EQ(flat.size(), 4u);
-  EXPECT_DOUBLE_EQ(flat[0], 2.0);  // job 0 site 0
-  EXPECT_DOUBLE_EQ(flat[1], 1.0);  // job 0 site 1
-  EXPECT_DOUBLE_EQ(flat[3], 2.0);  // job 1 site 1
-}
-
-TEST(EtcMatrix, ContextConstructorUsesTheRawExecModel) {
-  auto context = make_context({{0, 2, 2.0, 1.0}, {1, 1, 4.0, 1.0}},
-                              {batch_job(100.0), batch_job(50.0, 2)});
-  context.exec = sim::ExecModel(2, 2, {7.0, 9.0, 11.0, 13.0});
-  const EtcMatrix etc(context);
-  EXPECT_DOUBLE_EQ(etc.exec(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(etc.exec(0, 1), 9.0);
-  EXPECT_DOUBLE_EQ(etc.exec(1, 0), 11.0);
-  // Node fit still decides feasibility, whatever the matrix says.
-  EXPECT_TRUE(std::isinf(etc.exec(1, 1)));
 }
 
 // --------------------------------------------------------- risk filter ---

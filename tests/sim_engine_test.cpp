@@ -116,7 +116,7 @@ std::string admission_error(std::vector<SiteConfig> sites,
 TEST(Engine, RejectsJobWithoutSafeHome) {
   // Only site has SL 0.7 < demand 0.9: a failure could never be recovered.
   EXPECT_EQ(admission_error({{0, 1, 1.0, 0.7}}, {make_job(0, 10, 1, 0.9)}),
-            "Engine: job 0 has no absolutely-safe site; it could starve "
+            "SimKernel: job 0 has no absolutely-safe site; it could starve "
             "after a failure");
 }
 
@@ -129,13 +129,13 @@ TEST(Engine, RejectsOversizedJob) {
 TEST(Engine, RejectsBadJobFields) {
   const std::vector<SiteConfig> site = {{0, 1, 1.0, 1.0}};
   EXPECT_EQ(admission_error(site, {make_job(0, 0.0, 1, 0.5)}),
-            "Engine: job work must be > 0");
+            "SimKernel: job work must be > 0");
   EXPECT_EQ(admission_error(site, {make_job(0, 10, 0, 0.5)}),
-            "Engine: job nodes must be > 0");
+            "SimKernel: job nodes must be > 0");
   // The field checks precede the ordering check: a first arrival of -1 is
   // negative, not out of order.
   EXPECT_EQ(admission_error(site, {make_job(-1, 10, 1, 0.5)}),
-            "Engine: negative arrival");
+            "SimKernel: negative arrival");
 }
 
 TEST(Engine, SingleJobTimeline) {
